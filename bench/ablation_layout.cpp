@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
           {"autoropes-L", "grid-stride", grid_stride},
       };
       for (const Cfg& c : cfgs) {
-        if (!benchx::variant_enabled(cli, c.mode.variant())) continue;
+        if (!benchx::variant_enabled(cli, c.mode.variant)) continue;
         auto g = run_gpu_sim(k, space, cfg, c.mode);
         table.add_row({sorted ? "sorted" : "unsorted", c.variant, c.stack,
                        fmt_fixed(g.time.total_ms, 3),

@@ -1,9 +1,14 @@
 // Ablation: statically-installed ropes (prior work, section 3 / Figure 2)
 // vs the paper's autoropes, on the two unguided benchmarks (PC, BH).
 //
-// The trade the paper describes:
+// The static-ropes rows run the stackless variants with the node cache
+// off: a walk over the kernel's installed ropes with no stack and no
+// shared-memory help, exactly prior work's traversal. The trade the paper
+// describes:
 //   + ropes traverse with no stack at all (no stack traffic, fewer cycles)
-//   - they need a preprocessing pass over the tree (install time reported)
+//   - they need a preprocessing pass over the tree (install time reported
+//     in its own table: it is host wall-clock, so the JSON report carries
+//     it only under --json-volatile)
 //   - they only exist for unguided traversals, and any stack-carried
 //     argument must be recomputable from the node (BH needs node depths).
 //
@@ -23,7 +28,6 @@
 #include "bench_algos/pc/point_correlation.h"
 #include "bench_common.h"
 #include "core/gpu_executors.h"
-#include "core/ropes_executor.h"
 #include "core/static_ropes.h"
 #include "data/generators.h"
 #include "data/sorting.h"
@@ -35,27 +39,31 @@ using namespace tt;
 
 namespace {
 
-template <RopeCompatibleKernel K>
-void compare(const Cli& cli, Table& table, const std::string& bench,
-             bool sorted, const K& k, GpuAddressSpace& space,
-             const LinearTree& topo) {
+template <StacklessCompatibleKernel K>
+void compare(const Cli& cli, Table& table, Table& install,
+             const std::string& bench, bool sorted, const K& k,
+             GpuAddressSpace& space, const LinearTree& topo) {
   DeviceConfig cfg;
   StaticRopes ropes = install_ropes(topo);
+  install.add_row({bench, sorted ? "sorted" : "unsorted",
+                   fmt_fixed(ropes.install_ms, 3)});
   for (bool lockstep : {true, false}) {
     const Variant v =
         lockstep ? Variant::kAutoLockstep : Variant::kAutoNolockstep;
     if (!benchx::variant_enabled(cli, v)) continue;
     auto ar = run_gpu_sim(k, space, cfg, GpuMode::from(v));
-    auto rp = run_gpu_ropes_sim(k, space, cfg, lockstep, ropes);
+    GpuMode static_ropes = GpuMode::from(
+        lockstep ? Variant::kStacklessLockstep : Variant::kStacklessNolockstep);
+    static_ropes.node_cache_bytes = 0;
+    auto rp = run_gpu_sim(k, space, cfg, static_ropes);
     table.add_row({bench, sorted ? "sorted" : "unsorted",
                    lockstep ? "L" : "N", "autoropes",
                    fmt_fixed(ar.time.total_ms, 3),
-                   std::to_string(ar.stats.dram_transactions), "0"});
+                   std::to_string(ar.stats.dram_transactions)});
     table.add_row({bench, sorted ? "sorted" : "unsorted",
                    lockstep ? "L" : "N", "static-ropes",
                    fmt_fixed(rp.time.total_ms, 3),
-                   std::to_string(rp.stats.dram_transactions),
-                   fmt_fixed(rp.install_ms, 3)});
+                   std::to_string(rp.stats.dram_transactions)});
   }
 }
 
@@ -71,14 +79,13 @@ void stackless_sweep(const Cli& cli, Table& table, const std::string& bench,
     DeviceConfig cfg;
     struct CachePoint {
       const char* label;  // "Cache(KiB)" cell
-      bool enabled;
-      std::size_t bytes;  // 0 => default sizing
+      std::size_t bytes;  // GpuMode::node_cache_bytes
     };
-    constexpr CachePoint kPoints[] = {{"off", false, 0},
-                                      {"2", true, 2 * 1024},
-                                      {"8", true, 8 * 1024},
-                                      {"32", true, 32 * 1024},
-                                      {"auto", true, 0}};
+    constexpr CachePoint kPoints[] = {{"off", 0},
+                                      {"2", 2 * 1024},
+                                      {"8", 8 * 1024},
+                                      {"32", 32 * 1024},
+                                      {"auto", GpuMode::kNodeCacheFreedStack}};
     for (Variant v : {Variant::kStacklessLockstep,
                       Variant::kStacklessNolockstep, Variant::kIndexWalk}) {
       if (!kernel_variant_eligible<K>(v)) continue;
@@ -89,8 +96,7 @@ void stackless_sweep(const Cli& cli, Table& table, const std::string& bench,
       auto base = run_gpu_sim(k, space, cfg, GpuMode::from(base_v));
       for (const CachePoint& pt : kPoints) {
         GpuMode mode = GpuMode::from(v);
-        mode.smem_node_cache = pt.enabled;
-        mode.cache_bytes = pt.bytes;
+        mode.node_cache_bytes = pt.bytes;
         auto run = run_gpu_sim(k, space, cfg, mode);
         const std::uint64_t lookups =
             run.stats.smem_cache_hits + run.stats.smem_cache_misses;
@@ -123,7 +129,8 @@ int main(int argc, char** argv) {
   benchx::add_common_flags(cli);
   return benchx::run_main(cli, argc, argv, "ablation_ropes", [&]() -> int {
     Table table({"Benchmark", "Order", "Type", "Technique", "Time(ms)",
-                 "DRAM txn", "Install(ms)"});
+                 "DRAM txn"});
+    Table install({"Benchmark", "Order", "Install(ms)"});
     Table sweep({"Benchmark", "Order", "Variant", "Cache(KiB)", "Time(ms)",
                  "DRAM txn", "Hit%", "Stack cyc", "Speedup vs stack"});
     const auto n = static_cast<std::size_t>(cli.get_int("points"));
@@ -135,7 +142,8 @@ int main(int argc, char** argv) {
         float r = pc_pick_radius(pts, cli.get_double("pc-neighbors"), 21);
         GpuAddressSpace space;
         PointCorrelationKernel k(tree, pts, r, space);
-        compare(cli, table, "PointCorrelation", sorted, k, space, tree.topo);
+        compare(cli, table, install, "PointCorrelation", sorted, k, space,
+                tree.topo);
         stackless_sweep(cli, sweep, "PointCorrelation", sorted, k, space);
       }
       {
@@ -146,17 +154,21 @@ int main(int argc, char** argv) {
         BarnesHutKernel k(tree, b.pos,
                           static_cast<float>(cli.get_double("theta")), 1e-4f,
                           space);
-        compare(cli, table, "Barnes-Hut", sorted, k, space, tree.topo);
+        compare(cli, table, install, "Barnes-Hut", sorted, k, space,
+                tree.topo);
         stackless_sweep(cli, sweep, "Barnes-Hut", sorted, k, space);
       }
     }
     benchx::emit(table, cli.get_flag("csv"));
+    std::cout << "\n";
+    benchx::emit(install, cli.get_flag("csv"));
     if (sweep.rows() > 0) {
       std::cout << "\n";
       benchx::emit(sweep, cli.get_flag("csv"));
     }
     obs::RunReport report = benchx::make_report(cli, "ablation_ropes");
     report.add_table("ablation_ropes", table);
+    report.add_table("ropes_install", install, /*volatile_data=*/true);
     report.add_table("stackless_cache_sweep", sweep);
     if (!benchx::maybe_write_report(cli, report)) return 1;
     return 0;

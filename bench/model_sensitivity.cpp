@@ -24,8 +24,6 @@
 #include "bench_algos/pc/point_correlation.h"
 #include "bench_common.h"
 #include "core/gpu_executors.h"
-#include "core/ropes_executor.h"
-#include "core/static_ropes.h"
 #include "data/generators.h"
 #include "data/sorting.h"
 #include "spatial/kdtree.h"
@@ -84,8 +82,10 @@ Probe probe(std::size_t n, const DeviceConfig& cfg,
       auto rl = run_gpu_sim(k, space, cfg,
                             GpuMode::from(Variant::kRecLockstep),
                             sink("rec_lockstep_sorted"));
-      StaticRopes ropes = install_ropes(tree.topo);
-      auto rp = run_gpu_ropes_sim(k, space, cfg, false, ropes);
+      // Static ropes: the stackless per-lane walk with the node cache off.
+      GpuMode static_ropes = GpuMode::from(Variant::kStacklessNolockstep);
+      static_ropes.node_cache_bytes = 0;
+      auto rp = run_gpu_sim(k, space, cfg, static_ropes);
       p.al_sorted = variant_probe(al);
       p.an_sorted = variant_probe(an);
       p.rl_sorted = variant_probe(rl);

@@ -41,7 +41,7 @@ struct Cell {
   std::string name;            // "pc/covtype/morton"
   double mean_similarity = 0;  // per sample count, filled in the sweep
   double baseline_similarity = 0;
-  double sampled_visits = 0;
+  double sampling_cycles = 0;  // auto_select's charge for the samples
   bool order_is_sorted = false;  // cell built with a spatial sort?
   bool best_is_lockstep = false;
   double best_cycles = 0;  // instr cycles of the faster composition
@@ -123,7 +123,7 @@ int main(int argc, char** argv) {
                    point_order_name(order);
           c.mean_similarity = p.mean_similarity;
           c.baseline_similarity = p.baseline_similarity;
-          c.sampled_visits = static_cast<double>(p.sampled_visits);
+          c.sampling_cycles = sampling_cycles(p.sampled_visits, dev);
           c.order_is_sorted = order != PointOrder::kShuffled;
           c.best_is_lockstep = best_lockstep;
           c.best_cycles = best_lockstep ? lock.stats.instr_cycles
@@ -148,12 +148,9 @@ int main(int argc, char** argv) {
               c.mean_similarity - c.baseline_similarity >= threshold;
           if (picks_lockstep != c.best_is_lockstep) ++miss;
           if (c.order_is_sorted != c.best_is_lockstep) ++floor;
-          // Same charge the auto_select variant applies in run_gpu_sim.
-          const DeviceConfig dev;
-          const double sampling_cycles =
-              c.sampled_visits * (dev.c_visit + dev.c_step);
           const double overhead =
-              c.best_cycles > 0 ? 100.0 * sampling_cycles / c.best_cycles : 0;
+              c.best_cycles > 0 ? 100.0 * c.sampling_cycles / c.best_cycles
+                                : 0;
           overhead_sum += overhead;
           overhead_max = std::max(overhead_max, overhead);
         }

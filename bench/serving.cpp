@@ -208,7 +208,7 @@ int main(int argc, char** argv) {
     summary.shard_chunk = scfg.shard_chunk;
     summary.drain = scfg.drain;
     summary.policy = scfg.policy;
-    summary.variant = mode.variant();
+    summary.variant = mode.variant;
     summary.queue_capacity = scfg.queue_capacity;
     summary.transfer = transfer;
     summary.report = run_session(pool, trace, picks, scfg, mode);

@@ -2,15 +2,37 @@
 # Perf-trajectory snapshot: run table1 on a small fixed grid and distill
 # each cell's per-variant simulated instruction cycles + modelled time
 # (deterministic) and host simulation wall-clock (volatile, machine-
-# dependent) into BENCH_table1.json at the repo root. Commit the refreshed
-# file alongside performance-relevant PRs so later PRs can diff both the
-# modelled cost and the simulator's own speed against this baseline.
+# dependent) into BENCH_table1.json at the repo root, then the serving,
+# sharding, ropes, fusion and memprof baselines into their BENCH_*.json
+# files. Commit the refreshed files alongside performance-relevant PRs so
+# later PRs can diff both the modelled cost and the simulator's own speed
+# against this baseline.
 #
-# Usage: scripts/bench_snapshot.sh [output.json]
+# Usage: scripts/bench_snapshot.sh [table1.json [serving.json
+#                                   [sharding.json [ropes.json]]]]
+#        scripts/bench_snapshot.sh --check
+#
+# --check regenerates all six snapshots into a temporary directory and
+# fails on any difference from the committed files outside the volatile
+# fields (git_sha, install_ms and the host wall-clock fields), so modelled
+# drift cannot land silently.
 set -euo pipefail
 
 repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build="${BUILD_DIR:-$repo/build}"
+
+work="$(mktemp -d "${TMPDIR:-/tmp}/bench_snapshot_XXXX")"
+trap 'rm -rf "$work"' EXIT
+
+check=0
+if [[ "${1:-}" == "--check" ]]; then
+  check=1
+  shift
+  set -- "$work/BENCH_table1.json" "$work/BENCH_serving.json" \
+    "$work/BENCH_sharding.json" "$work/BENCH_ropes.json"
+  FUSION_JSON="$work/BENCH_fusion.json"
+  MEMPROF_JSON="$work/BENCH_memprof.json"
+fi
 out="${1:-$repo/BENCH_table1.json}"
 
 if [[ ! -x "$build/bench/table1" ]]; then
@@ -19,9 +41,8 @@ if [[ ! -x "$build/bench/table1" ]]; then
   cmake --build "$build" -j "$(nproc 2>/dev/null || echo 4)" --target table1
 fi
 
-raw="$(mktemp /tmp/bench_snapshot_XXXX.json)"
-batch_raw="$(mktemp /tmp/bench_snapshot_batch_XXXX.json)"
-trap 'rm -f "$raw" "$batch_raw"' EXIT
+raw="$work/table1_raw.json"
+batch_raw="$work/table1_batch_raw.json"
 
 echo "== table1 (pc+nn, 512 points) =="
 "$build/bench/table1" --benchmarks=pc,nn --points=512 \
@@ -115,8 +136,7 @@ PY
 # percentiles, queue telemetry, and the drain-cadence sweep. Everything
 # in it is modelled time, so the file only changes when behavior does.
 serving_out="${2:-$repo/BENCH_serving.json}"
-serving_raw="$(mktemp /tmp/bench_snapshot_serving_XXXX.json)"
-trap 'rm -f "$raw" "$batch_raw" "$serving_raw"' EXIT
+serving_raw="$work/serving_raw.json"
 
 if [[ ! -x "$build/bench/serving" ]]; then
   echo "== building serving =="
@@ -179,8 +199,7 @@ PY
 # makespan speedup, per-device load balance, and the device-count x
 # chunk-size sweep. All modelled time; changes only when behavior does.
 sharding_out="${3:-$repo/BENCH_sharding.json}"
-sharding_raw="$(mktemp /tmp/bench_snapshot_sharding_XXXX.json)"
-trap 'rm -f "$raw" "$batch_raw" "$serving_raw" "$sharding_raw"' EXIT
+sharding_raw="$work/sharding_raw.json"
 
 if [[ ! -x "$build/bench/sharding" ]]; then
   echo "== building sharding =="
@@ -256,8 +275,7 @@ PY
 # compositions) and the speedup over the per-warp shared-memory stack.
 # All modelled time; changes only when behavior does.
 ropes_out="${4:-$repo/BENCH_ropes.json}"
-ropes_raw="$(mktemp /tmp/bench_snapshot_ropes_XXXX.json)"
-trap 'rm -f "$raw" "$batch_raw" "$serving_raw" "$sharding_raw" "$ropes_raw"' EXIT
+ropes_raw="$work/ropes_raw.json"
 
 if [[ ! -x "$build/bench/ablation_ropes" ]]; then
   echo "== building ablation_ropes =="
@@ -266,7 +284,8 @@ if [[ ! -x "$build/bench/ablation_ropes" ]]; then
 fi
 
 echo "== ablation_ropes (pc+bh, 512 points, stackless cache sweep) =="
-"$build/bench/ablation_ropes" --points=512 --json="$ropes_raw" >/dev/null
+"$build/bench/ablation_ropes" --points=512 --json-volatile \
+  --json="$ropes_raw" >/dev/null
 
 python3 - "$ropes_raw" "$ropes_out" <<'PY'
 import json, sys
@@ -281,6 +300,11 @@ def rows_as_dicts(table):
     header = table["header"]
     return [dict(zip(header, cells)) for cells in table["rows"]]
 
+# Host wall-clock of the rope install pass (a volatile table), per
+# (benchmark, order); autoropes rows install nothing.
+install = {(r["Benchmark"], r["Order"]): float(r["Install(ms)"])
+           for r in rows_as_dicts(tables["ropes_install"])}
+
 snapshot = {
     "schema": "treetrav.bench_snapshot.ropes/v1",
     "source": "ablation_ropes --points=512",
@@ -293,7 +317,8 @@ snapshot = {
             "technique": r["Technique"],
             "modelled_ms": float(r["Time(ms)"]),
             "dram_transactions": int(r["DRAM txn"]),
-            "install_ms": float(r["Install(ms)"]),
+            "install_ms": install[(r["Benchmark"], r["Order"])]
+                          if r["Technique"] == "static-ropes" else 0.0,
         }
         for r in rows_as_dicts(tables["ablation_ropes"])
     ],
@@ -327,8 +352,7 @@ PY
 # savings, the shared-load elision count, and the byte-identity verdict.
 # All modelled time; changes only when behavior does.
 fusion_out="${FUSION_JSON:-$repo/BENCH_fusion.json}"
-fusion_raw="$(mktemp /tmp/bench_snapshot_fusion_XXXX.json)"
-trap 'rm -f "$raw" "$batch_raw" "$serving_raw" "$sharding_raw" "$ropes_raw" "$fusion_raw"' EXIT
+fusion_raw="$work/fusion_raw.json"
 
 if [[ ! -x "$build/bench/fusion" ]]; then
   echo "== building fusion =="
@@ -400,8 +424,7 @@ PY
 # DRAM versus interleaved, in every measured point order. All counters are
 # modelled; the file changes only when behavior does.
 memprof_out="${MEMPROF_JSON:-$repo/BENCH_memprof.json}"
-memprof_raw="$(mktemp /tmp/bench_snapshot_memprof_XXXX.json)"
-trap 'rm -f "$raw" "$batch_raw" "$serving_raw" "$sharding_raw" "$ropes_raw" "$fusion_raw" "$memprof_raw"' EXIT
+memprof_raw="$work/memprof_raw.json"
 
 if [[ ! -x "$build/bench/memprof" ]]; then
   echo "== building memprof =="
@@ -510,3 +533,49 @@ with open(out_path, "w") as f:
     f.write("\n")
 print(f"wrote {out_path} ({len(snapshot['layout_split'])} layout rows)")
 PY
+
+if [[ $check -eq 1 ]]; then
+  python3 - "$repo" "$work" <<'PY'
+import json, os, sys
+
+repo, fresh_dir = sys.argv[1], sys.argv[2]
+# Fields that legitimately differ between runs: the commit, the host's
+# wall-clock measurements of the simulator and of the rope install pass.
+VOLATILE = {"git_sha", "install_ms", "host_sim_wall_ms"}
+
+def diffs(a, b, path):
+    if isinstance(a, dict) and isinstance(b, dict):
+        for k in sorted(set(a) | set(b)):
+            if k in VOLATILE:
+                continue
+            if k not in a or k not in b:
+                yield f"{path}.{k}: only in {'fresh' if k in b else 'committed'}"
+            else:
+                yield from diffs(a[k], b[k], f"{path}.{k}")
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            yield f"{path}: {len(a)} committed entries vs {len(b)} fresh"
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from diffs(x, y, f"{path}[{i}]")
+    elif a != b:
+        yield f"{path}: committed {a!r} vs fresh {b!r}"
+
+failed = False
+for name in ("BENCH_table1.json", "BENCH_serving.json",
+             "BENCH_sharding.json", "BENCH_ropes.json",
+             "BENCH_fusion.json", "BENCH_memprof.json"):
+    with open(os.path.join(repo, name)) as f:
+        committed = json.load(f)
+    with open(os.path.join(fresh_dir, name)) as f:
+        fresh = json.load(f)
+    found = list(diffs(committed, fresh, name))
+    if found:
+        failed = True
+        print(f"DRIFT {name}: {len(found)} field(s) differ")
+        for d in found[:20]:
+            print(f"  {d}")
+    else:
+        print(f"ok    {name}")
+sys.exit(1 if failed else 0)
+PY
+fi

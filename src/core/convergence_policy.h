@@ -365,8 +365,8 @@ struct WarpAndTruncation {
   }
 
   // Stackless flavor: the warp walks the union traversal behind a shared
-  // rope cursor instead of a per-warp stack (the ropes_executor lockstep
-  // rule as a composition). A lane that truncates at node n records
+  // rope cursor instead of a per-warp stack (the static-ropes lockstep
+  // resume rule). A lane that truncates at node n records
   // resume_at = rope[n] and stays masked until the cursor reaches it --
   // exact because DFS ids only move forward. Each lane therefore visits
   // exactly its own traversal set, byte-identical to the stack-based

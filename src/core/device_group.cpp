@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include <omp.h>
-
 #include "core/serving.h"
 #include "obs/chrome_trace.h"
 #include "simt/executor.h"
@@ -97,9 +95,7 @@ ShardedRun run_sharded(const LaunchSpec& spec, std::uint64_t upload_bytes,
   // The baseline's executed composition, with spec.mode's ablation knobs
   // kept -- the per-device runs must not re-roll the auto_select dice.
   GpuMode mode = spec.mode;
-  mode.auto_select = false;
-  mode.autoropes = variant_is_autoropes(base.variant);
-  mode.lockstep = variant_is_lockstep(base.variant);
+  mode.variant = base.variant;
 
   // Canonical-order merge target; stats/time/selection stay the baseline's.
   out.merged.kernel_name = base.kernel_name;
@@ -118,7 +114,6 @@ ShardedRun run_sharded(const LaunchSpec& spec, std::uint64_t upload_bytes,
   else
     out.merged.per_point_visits.assign(n, 0);
 
-  const double cycles_per_ms = cfg.device.clock_ghz * 1e6;
   out.devices.reserve(cfg.devices);
   std::size_t cum_points = 0;  // exact byte partition across devices
   bool sampling_charged = false;
@@ -162,16 +157,13 @@ ShardedRun run_sharded(const LaunchSpec& spec, std::uint64_t upload_bytes,
                                         base.kernel_name);
     std::unique_ptr<LaunchRun> run = spec.kernel->prepare(
         *spec.space, cfg.device, mode, trace, nullptr, kSoloKernel);
-    if (trace) trace->begin(run->shape.n_warps, omp_get_max_threads());
 
     // The device's own grid: its solo grid bounded by its chunk count, so
     // its L2 slice size is what a single device running just these chunks
     // would get.
     const std::size_t grid = std::min(run->shape.grid, warps.size());
     sh.rounds = (warps.size() + grid - 1) / grid;
-    const std::size_t resident = std::min<std::size_t>(
-        grid, static_cast<std::size_t>(cfg.device.max_resident_warps()));
-    const std::size_t slice_bytes = cfg.device.l2_bytes / resident;
+    const std::size_t slice_bytes = l2_slice_bytes(cfg.device, grid);
 
     std::vector<KernelStats> per_slot(grid);
     std::span<const std::uint32_t> warp_span(warps);
@@ -180,14 +172,20 @@ ShardedRun run_sharded(const LaunchSpec& spec, std::uint64_t upload_bytes,
       if (cfg.device.model_l2) {
         L2Cache slice(slice_bytes, cfg.device.l2_line_bytes,
                       cfg.device.l2_assoc);
-        run->run_shard_slot(warp_span, grid, static_cast<std::size_t>(p),
+        run->run_chunk_list(warp_span, grid, static_cast<std::size_t>(p),
                             per_slot[static_cast<std::size_t>(p)], &slice);
       } else {
-        run->run_shard_slot(warp_span, grid, static_cast<std::size_t>(p),
+        run->run_chunk_list(warp_span, grid, static_cast<std::size_t>(p),
                             per_slot[static_cast<std::size_t>(p)], nullptr);
       }
     }
-    if (run->overflow.overflowed()) {
+    // The section-4.4 sampler ran once before the group dispatched; charge
+    // it to the first working device (so summed device compute covers it
+    // exactly once). The device tracks carry no kSelect event.
+    LaunchTotals t = finish_launch(
+        *run, per_slot, sampling_charged ? std::nullopt : base.selection,
+        cfg.device, nullptr, nullptr);
+    if (!t.overflow.empty()) {
       // Cannot happen when the baseline succeeded (same kernel, same
       // stack bound, same per-chunk traversal); belt and braces.
       out.merged.error = std::string("kernel ") + base.kernel_name +
@@ -196,20 +194,9 @@ ShardedRun run_sharded(const LaunchSpec& spec, std::uint64_t upload_bytes,
       out.devices.push_back(std::move(sh));
       return out;
     }
-
-    sh.stats = merge_stats(per_slot);
-    sh.time = estimate_time_balanced(instr_cycles_of(per_slot), sh.stats,
-                                     cfg.device);
-    if (base.selection && !sampling_charged) {
-      // The section-4.4 sampler ran once before the group dispatched;
-      // charge it to the first working device, same accounting as
-      // run_launch_pool (so summed device compute covers it exactly once).
-      sh.stats.note_sampling_cycles(base.selection->sampling_cycles);
-      sh.time.compute_ms += base.selection->sampling_cycles / cycles_per_ms;
-      sh.time.total_ms = std::max(sh.time.compute_ms, sh.time.memory_ms);
-      sh.time.memory_bound = sh.time.memory_ms > sh.time.compute_ms;
-      sampling_charged = true;
-    }
+    sh.stats = std::move(t.stats);
+    sh.time = t.time;
+    sampling_charged = true;
 
     // Pipelined transfer: the device's upload strip-mined into
     // chunk_points-sized copies overlapping its compute.

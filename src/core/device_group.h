@@ -17,7 +17,7 @@
 //     visit counters as modelled chunk costs -- kWorkStealing's greedy
 //     earliest-finish by default.
 //   - Each device then re-executes exactly its chunk list through
-//     LaunchRun::run_shard_slot with its own result/counter storage, its
+//     LaunchRun::run_chunk_list with its own result/counter storage, its
 //     own L2 slice size (derived from the device's own grid), its own
 //     KernelStats and its own modelled clock (per-device TimeBreakdown +
 //     PipelinedTransfer). Devices share nothing but the read-only address

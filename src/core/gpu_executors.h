@@ -22,32 +22,30 @@
 // The WarpEngine (warp_engine.h) owns the per-warp lifecycle, counters and
 // the single trace-emission site; stack policies (stack_policy.h) own
 // continuation layout and traffic; convergence policies
-// (convergence_policy.h) own the warp schedule. The launch math -- arena
-// sizing, Figure 9b grid, the composition table and the per-slot chunk
-// loop -- lives in core/launch.h (run_chunk / run_warp_slot), shared with
-// the batched executor (batch_scheduler.h); run_gpu_sim below resolves
-// auto_select, allocates the run's storage and fans slots out.
+// (convergence_policy.h) own the warp schedule. Everything else about a
+// launch -- auto_select resolution, arena sizing, Figure 9b grid, the
+// composition table, the per-slot chunk loop and the final accounting --
+// lives in core/launch.h and is shared with the pooled (serving.h) and
+// sharded (device_group.h) executors; run_gpu_sim below only fans the
+// launch's slots out and hands back typed results.
 //
 // All variants execute the *same kernel semantics*; only event counts (and
 // therefore modelled time) differ. Equivalence across variants is enforced
 // by integration tests.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "core/convergence_policy.h"
 #include "core/launch.h"
 #include "core/profiler.h"
-#include "core/stack_policy.h"
 #include "core/static_ropes.h"
 #include "core/traversal_kernel.h"
 #include "core/variant.h"
-#include "core/warp_engine.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "simt/address_space.h"
@@ -55,7 +53,6 @@
 #include "simt/device_config.h"
 #include "simt/executor.h"
 #include "simt/kernel_stats.h"
-#include "simt/warp_memory.h"
 #include "util/timer.h"
 
 namespace tt {
@@ -94,7 +91,11 @@ struct GpuRun {
 };
 
 // ---------------------------------------------------------------------
-// Entry point: simulate the kernel under one of the four GPU variants.
+// Entry point: simulate the kernel under one of the eight GPU variants --
+// a typed adapter over the one launch path (core/launch.h): resolve,
+// prepare, fan the launch's own grid out over run_warps (one reusable L2
+// slice per host thread), finish. Ineligible stackless pairings throw
+// std::invalid_argument, a stack overflow std::runtime_error.
 // `trace` is optional: when non-null, the engine emits per-step event
 // records into it (see obs/trace.h for the determinism contract).
 // `profile` is optional: when non-null, the run's cycle-attribution
@@ -105,119 +106,38 @@ GpuRun<K> run_gpu_sim(const K& k, GpuAddressSpace& space,
                       const DeviceConfig& cfg, GpuMode mode,
                       obs::TraceSink* trace = nullptr,
                       obs::ProfileSink* profile = nullptr) {
-  if (mode.variant() == Variant::kAutoSelect) {
-    // Section 4.4 adaptive selection: sample a few adjacent traversal
-    // pairs, then dispatch this launch to the lockstep (similar => input
-    // effectively sorted) or non-lockstep autoropes composition. The
-    // sampled traversals run serially before the kernel on one SM, so
-    // their cost is charged to compute time without overlap.
-    if (mode.profile_samples == 0)
-      throw std::invalid_argument(
-          "run_gpu_sim: auto_select needs profile_samples >= 1");
-    const ProfileReport p =
-        profile_similarity(k, mode.profile_samples, mode.profile_seed);
-    const double sampling_cycles =
-        static_cast<double>(p.sampled_visits) * (cfg.c_visit + cfg.c_step);
-    GpuMode chosen = mode;
-    chosen.auto_select = false;
-    chosen.autoropes = true;
-    chosen.lockstep = p.looks_sorted;
-    GpuRun<K> run = run_gpu_sim(k, space, cfg, chosen, trace, profile);
-    SelectionInfo sel;
-    sel.mean_similarity = p.mean_similarity;
-    sel.baseline_similarity = p.baseline_similarity;
-    sel.samples = p.samples;
-    sel.threshold = p.threshold;
-    sel.chosen = chosen.variant();
-    sel.sampling_cycles = sampling_cycles;
-    run.selection = sel;
-    run.stats.note_sampling_cycles(sampling_cycles);
-    // The dispatched run built its profile before the sampling charge;
-    // refresh the bucket split so reconciles() covers the full launch.
-    if (run.profile) {
-      run.profile->buckets = run.stats.cycle_buckets;
-      run.profile->instr_cycles = run.stats.instr_cycles;
-    }
-    const double cycles_per_ms = cfg.clock_ghz * 1e6;
-    run.time.compute_ms += sampling_cycles / cycles_per_ms;
-    run.time.total_ms = std::max(run.time.compute_ms, run.time.memory_ms);
-    run.time.memory_bound = run.time.memory_ms > run.time.compute_ms;
-    // Record after the dispatched run so its trace->begin() cannot clear
-    // the launch-scope decision event.
-    if (trace)
-      trace->record_launch(obs::TraceEventKind::kSelect, 0xffffffffu,
-                           static_cast<std::uint32_t>(p.samples), 0,
-                           p.looks_sorted ? 1u : 0u);
-    return run;
-  }
-  const LaunchGeometry shape = launch_geometry(k, cfg, mode);
-  GpuRun<K> run;
-  run.n_warps = shape.n_warps;
-  run.results.resize(shape.n);
-  if (mode.lockstep)
-    run.per_warp_pops.assign(shape.n_warps, 0);
-  else
-    run.per_point_visits.assign(shape.n, 0);
-
-  // Stackless family: no arena; instead the launch registers the rope
-  // array (scratch, like the arena) and builds the shared-memory node
-  // cache from the bytes the per-warp stack records used to occupy. Both
-  // happen here, serially, before slots fan out.
-  std::uint64_t stack_base0 = 0;
-  StacklessCtx sctx;
-  SmemNodeCache cache;
-  if (mode.stackless) {
-    // One canonical ineligibility spelling shared with the launch API and
-    // the harness's "skipped:" rows (core/static_ropes.h).
-    const std::string why =
-        kernel_variant_ineligible_reason(k, mode.variant());
-    if (!why.empty())
-      throw std::invalid_argument("run_gpu_sim: " + why);
-    if constexpr (StacklessCompatibleKernel<K>) {
-      sctx.rope_buf = space.ensure_buffer(
-          "ropes", 4, static_cast<std::uint64_t>(k.ropes().rope.size()));
-      if (mode.smem_node_cache) {
-        cache = SmemNodeCache::build(space, k.node_buffers(),
-                                     k.ropes().rope.size(),
-                                     stackless_cache_bytes(cfg, shape, mode));
-        sctx.cache = &cache;
-      }
-    }
-  } else {
-    BufferId stack_buf = ensure_stack_arena(space, mode, shape);
-    stack_base0 = space.addr(stack_buf, 0);
-  }
-
-  OverflowReport overflow;
-  if (trace) trace->begin(shape.n_warps, omp_get_max_threads());
-  if (profile) profile->begin(omp_get_max_threads());
-  WallTimer timer;
-  // One task per physical warp slot; run_warp_slot (core/launch.h) walks
-  // the slot's chunks through the composition table. The batch scheduler
-  // drives the identical slot body, which is what keeps a batched
-  // launch's numbers byte-identical to this solo path.
-  std::vector<KernelStats> per_warp = run_warps(
-      shape.grid, cfg, [&](std::size_t p, KernelStats& stats, L2Cache* l2) {
-        run_warp_slot(k, space, cfg, mode, shape, stack_base0, p, stats, l2,
-                      trace, profile, overflow, run.results.data(),
-                      mode.lockstep ? nullptr : run.per_point_visits.data(),
-                      mode.lockstep ? run.per_warp_pops.data() : nullptr,
-                      kSoloKernel, mode.stackless ? &sctx : nullptr);
+  const ResolvedMode r = resolve_mode(
+      mode, cfg, "run_gpu_sim", [&](std::size_t samples, std::uint64_t seed) {
+        return profile_similarity(k, samples, seed);
       });
+  const std::string why = kernel_variant_ineligible_reason(k, r.mode.variant);
+  if (!why.empty()) throw std::invalid_argument("run_gpu_sim: " + why);
+
+  TypedLaunchRun<K> launch(k, space, cfg, r.mode, trace, profile,
+                           kSoloKernel);
+  WallTimer timer;
+  const std::vector<KernelStats> per_slot = run_warps(
+      launch.shape.grid, cfg,
+      [&](std::size_t p, KernelStats& stats, L2Cache* l2) {
+        launch.run_slot(p, stats, l2);
+      });
+  GpuRun<K> run;
   run.sim_wall_ms = timer.elapsed_ms();
-  if (overflow.overflowed())
-    throw std::runtime_error(
-        std::string("run_gpu_sim: rope stack overflow (kernel ") +
-        kernel_display_name<K>() + ", variant " + variant_name(mode.variant()) +
-        ", warp " + std::to_string(overflow.warp()) + ", " +
-        std::to_string(overflow.entries()) + " entries, stack_bound " +
-        std::to_string(shape.stack_bound) + ")");
-  run.stats = merge_stats(per_warp);
-  run.time = estimate_time_balanced(instr_cycles_of(per_warp), run.stats, cfg);
-  if (profile) {
-    const obs::ProfileCollector merged = profile->merged();
-    run.profile = obs::make_profile_report(run.stats, cfg, &merged);
-  }
+  LaunchTotals t = finish_launch(launch, per_slot, r.selection, cfg, trace,
+                                 profile);
+  if (!t.overflow.empty())
+    throw std::runtime_error(std::string("run_gpu_sim: rope stack overflow "
+                                         "(kernel ") +
+                             kernel_display_name<K>() + ", " + t.overflow +
+                             ")");
+  run.results = launch.take_results();
+  run.stats = std::move(t.stats);
+  run.time = t.time;
+  run.n_warps = launch.shape.n_warps;
+  run.per_point_visits = std::move(launch.per_point_visits);
+  run.per_warp_pops = std::move(launch.per_warp_pops);
+  run.selection = r.selection;
+  run.profile = std::move(t.profile);
   return run;
 }
 

@@ -1,30 +1,32 @@
-// Type-erased launch API over the layered GPU executor, plus the launch
-// geometry / composition helpers shared between the monomorphic
-// run_gpu_sim (gpu_executors.h) and the batched run_gpu_batch
-// (batch_scheduler.h).
+// The one launch path every GPU simulation goes through -- solo
+// (run_gpu_sim, gpu_executors.h), batched and served (run_launch_pool,
+// serving.h) and sharded (run_sharded, device_group.h) -- plus the
+// type-erased handle API over it. A launch takes three steps (DESIGN.md
+// section 3.2):
 //
-// Three pieces (DESIGN.md section 3):
+//   resolve_mode
+//     The one place auto_select is decided: sample traversal similarity,
+//     pick the lockstep or non-lockstep autoropes composition and record
+//     the decision (SelectionInfo, sampling charge included).
 //
-//   launch_geometry / make_warp_arenas / run_chunk / run_warp_slot
-//     The variant-independent launch math -- warp counts, Figure 9b grid,
-//     stack-arena sizing and addressing, and the StackPolicy x
-//     ConvergencePolicy composition table. run_gpu_sim and the batch
-//     scheduler both execute chunks through run_warp_slot, so a launch's
-//     simulation is the same code path whether it runs solo or batched
-//     (the byte-identity contract of batched runs rests on this).
+//   TypedLaunchRun (prepare)
+//     Size the launch (LaunchGeometry: warp counts, Figure 9b grid,
+//     stack-arena span), reserve its stack arena or, for the stackless
+//     family, its rope array and node cache, and allocate result/counter
+//     storage. Every physical warp slot then walks its chunk list through
+//     the StackPolicy x ConvergencePolicy composition table (run_chunk).
+//     The solo, pooled and sharded fan-outs all run this one slot body,
+//     which is what keeps their numbers byte-identical.
 //
-//   KernelHandle / TypedKernelHandle<K>
-//     Virtual-dispatch wrapper over the TraversalKernel concept. Every
-//     entry point used to be monomorphized per kernel; a handle lets a
-//     heterogeneous set of launches live in one container. Handles
-//     require the kernel to name itself (K::kName) -- batched
-//     diagnostics prefix every error with the owning kernel's name.
+//   finish_launch
+//     Merge the slots' stats, estimate time, charge the sampling, emit the
+//     kSelect decision, build the profile and report a stack overflow.
 //
-//   LaunchSpec / LaunchResult
-//     One element of a batch: which kernel, in which address space, under
-//     which GpuMode, with an optional per-launch trace sink -- and the
-//     type-erased per-launch measurement coming back (raw result bytes +
-//     isolated KernelStats / TimeBreakdown / SelectionInfo).
+// KernelHandle / TypedKernelHandle<K> wrap a NamedTraversalKernel behind
+// virtual dispatch so a heterogeneous set of launches (LaunchSpec) can live
+// in one container; LaunchResult is the type-erased per-launch
+// measurement coming back (raw result bytes + isolated KernelStats /
+// TimeBreakdown / SelectionInfo).
 #pragma once
 
 #include <algorithm>
@@ -33,6 +35,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -44,6 +47,7 @@
 #include "core/convergence_policy.h"
 #include "core/profiler.h"
 #include "core/stack_policy.h"
+#include "core/static_ropes.h"
 #include "core/traversal_kernel.h"
 #include "core/variant.h"
 #include "core/warp_engine.h"
@@ -90,8 +94,8 @@ template <TraversalKernel K>
   s.n_warps = (s.n + static_cast<std::size_t>(cfg.warp_size) - 1) /
               static_cast<std::size_t>(cfg.warp_size);
   s.stack_bound = k.stack_bound();
-  s.entry_bytes =
-      std::max<std::uint32_t>(4, stack_entry_bytes<K>(mode.lockstep));
+  s.entry_bytes = std::max<std::uint32_t>(
+      4, stack_entry_bytes<K>(variant_is_lockstep(mode.variant)));
   // One interleaved stack (or local-memory frame arena) region per warp,
   // plus room for the warp-level entries of the global-lockstep ablation.
   s.per_warp_span =
@@ -107,7 +111,7 @@ template <TraversalKernel K>
                                : s.n_warps;
   // The stackless family keeps no continuations at all: no arena bytes,
   // and ensure_stack_arena must not be called for these launches.
-  if (mode.stackless) s.per_warp_span = 0;
+  if (variant_is_stackless(mode.variant)) s.per_warp_span = 0;
   return s;
 }
 
@@ -115,18 +119,20 @@ template <TraversalKernel K>
 [[nodiscard]] inline BufferId ensure_stack_arena(GpuAddressSpace& space,
                                                  const GpuMode& mode,
                                                  const LaunchGeometry& s) {
-  return space.ensure_buffer(mode.autoropes ? "rope_stack" : "local_frames",
-                             1, s.per_warp_span * s.n_warps);
+  return space.ensure_buffer(
+      variant_is_autoropes(mode.variant) ? "rope_stack" : "local_frames",
+      1, s.per_warp_span * s.n_warps);
 }
 
 // Shared-memory bytes the stackless node cache may occupy: what the
 // per-warp lockstep stack records (12 bytes per level, stack_bound + 4
 // levels, one stack per resident warp) used to take from the SM, capped
-// at the SM's shared memory. mode.cache_bytes pins an explicit capacity
-// for the ablation sweep.
+// at the SM's shared memory -- unless mode.node_cache_bytes pins an
+// explicit capacity for the ablation sweep.
 [[nodiscard]] inline std::size_t stackless_cache_bytes(
     const DeviceConfig& cfg, const LaunchGeometry& s, const GpuMode& mode) {
-  if (mode.cache_bytes > 0) return mode.cache_bytes;
+  if (mode.node_cache_bytes != GpuMode::kNodeCacheFreedStack)
+    return mode.node_cache_bytes;
   const std::size_t freed =
       static_cast<std::size_t>(cfg.resident_warps_per_sm) *
       static_cast<std::size_t>(s.stack_bound + 4) * 12;
@@ -135,8 +141,9 @@ template <TraversalKernel K>
 }
 
 // Launch-scope context of a stackless launch: the installed rope array's
-// buffer id in the launch's address space, and the (optional) modelled
-// shared-memory node cache every slot's WarpMemory checks before L2.
+// buffer id in the launch's address space (-1 for stack-based launches),
+// and the (optional) modelled shared-memory node cache every slot's
+// WarpMemory checks before L2.
 struct StacklessCtx {
   std::int32_t rope_buf = -1;
   const SmemNodeCache* cache = nullptr;
@@ -169,15 +176,15 @@ struct WarpArenas {
 }
 
 // The composition table: which StackPolicy x ConvergencePolicy pair a
-// (resolved) GpuMode dispatches one chunk to. auto_select never reaches
-// here -- run_gpu_sim / run_gpu_batch resolve it per launch first. The
-// stackless cases need the launch's StacklessCtx (rope buffer id) and an
-// eligible kernel; callers enforce eligibility up front, so hitting the
-// ineligible path here is a composition-table bug.
+// resolved Variant dispatches one chunk to. auto_select never reaches
+// here -- resolve_mode decides it per launch first. The stackless cases
+// need the launch's rope buffer and an eligible kernel; TypedLaunchRun
+// enforces eligibility up front, so hitting the ineligible path here is a
+// composition-table bug.
 template <TraversalKernel K>
-void run_chunk(WarpEngine<K>& eng, const GpuMode& mode, const WarpArenas& a,
-               const StacklessCtx* sctx = nullptr) {
-  switch (mode.variant()) {
+void run_chunk(WarpEngine<K>& eng, Variant v, const WarpArenas& a,
+               const StacklessCtx& sctx) {
+  switch (v) {
     case Variant::kAutoNolockstep:
       LoopHeadReconvergence{}.run(eng, a.lane_stack);
       break;
@@ -193,11 +200,11 @@ void run_chunk(WarpEngine<K>& eng, const GpuMode& mode, const WarpArenas& a,
     case Variant::kStacklessLockstep:
     case Variant::kStacklessNolockstep:
       if constexpr (StacklessCompatibleKernel<K>) {
-        if (sctx == nullptr || sctx->rope_buf < 0)
+        if (sctx.rope_buf < 0)
           throw std::logic_error(
-              "run_chunk: stackless variant launched without a StacklessCtx");
-        const StacklessRope sp{&eng.kernel().ropes(), sctx->rope_buf};
-        if (mode.lockstep)
+              "run_chunk: stackless variant launched without a rope buffer");
+        const StacklessRope sp{&eng.kernel().ropes(), sctx.rope_buf};
+        if (v == Variant::kStacklessLockstep)
           WarpAndTruncation{}.run(eng, sp);
         else
           LoopHeadReconvergence{}.run(eng, sp);
@@ -220,110 +227,63 @@ void run_chunk(WarpEngine<K>& eng, const GpuMode& mode, const WarpArenas& a,
   }
 }
 
-// Simulate every chunk assigned to physical warp slot `p`: construct the
-// slot's memory front end, engine and arena policies once, then walk
-// chunks w = p, p + grid, ... -- exactly the body of run_gpu_sim's warp
-// lambda. Batched launches run the same function per slot, with their own
-// stats / l2 slice / counters, which is what makes a batched launch's
-// per-kernel numbers byte-identical to its solo run.
-template <TraversalKernel K>
-void run_warp_slot(const K& k, const GpuAddressSpace& space,
-                   const DeviceConfig& cfg, const GpuMode& mode,
-                   const LaunchGeometry& shape, std::uint64_t stack_base0,
-                   std::size_t p, KernelStats& stats, L2Cache* l2,
-                   obs::TraceSink* trace, obs::ProfileSink* profile,
-                   OverflowReport& overflow,
-                   typename K::Result* results,
-                   std::uint32_t* per_point_visits,
-                   std::uint32_t* per_warp_pops,
-                   std::uint32_t kernel_id = kSoloKernel,
-                   const StacklessCtx* sctx = nullptr) {
-  WarpMemory mem(space, cfg, l2, stats, sctx ? sctx->cache : nullptr);
-  // Fused kernels share node records between constituents; serve the
-  // duplicate per-lane loads once (core/kernel_compose.h).
-  if constexpr (kernel_shares_node_loads<K>) mem.set_shared_load_elision(true);
-  const std::uint64_t base = stack_base0 + shape.per_warp_span * p;
-  obs::WarpTracer* tr = trace ? &trace->ring(omp_get_thread_num()) : nullptr;
-  obs::ProfileCollector* pc =
-      profile ? &profile->collector(omp_get_thread_num()) : nullptr;
-  WarpEngine<K> eng(k, cfg, mem, stats, overflow, shape.stack_bound, tr, pc);
-  const WarpArenas arenas = make_warp_arenas(shape, cfg, mode, base);
+// ---------------------------------------------------------------------
+// Step 1: resolve.
+// ---------------------------------------------------------------------
 
-  for (std::size_t w = p; w < shape.n_warps; w += shape.grid) {
-    if (tr) tr->begin_warp(static_cast<std::uint32_t>(w));
-    WarpRange range;
-    range.begin = static_cast<std::uint32_t>(w * cfg.warp_size);
-    range.end = static_cast<std::uint32_t>(
-        std::min<std::size_t>(shape.n, (w + 1) * cfg.warp_size));
-    eng.begin_chunk(static_cast<std::uint32_t>(w), range,
-                    results + range.begin,
-                    mode.lockstep ? nullptr : per_point_visits + range.begin,
-                    mode.lockstep ? &per_warp_pops[w] : nullptr, kernel_id);
-    run_chunk(eng, mode, arenas, sctx);
-    eng.end_chunk();
-    if (tr) trace->commit(static_cast<std::uint32_t>(w), *tr);
-  }
+// The section-4.4 sampling charge: every sampled traversal step costs a
+// visit plus a step, run serially on one SM before the kernel.
+[[nodiscard]] inline double sampling_cycles(std::uint64_t sampled_visits,
+                                            const DeviceConfig& cfg) {
+  return static_cast<double>(sampled_visits) * (cfg.c_visit + cfg.c_step);
 }
 
-// The sharded sibling of run_warp_slot: slot `p` walks an *explicit* chunk
-// list (warps[p], warps[p + grid], ...) instead of the dense p, p + grid,
-// ... sequence -- how a device of a DeviceGroup (core/device_group.h) runs
-// just the logical warps assigned to it. Each chunk's traversal is
-// identical to the solo run's (same kernel, same warp range, same
-// engine/arena construction), so results and visit counters land
-// byte-identical into the canonical warp-indexed arrays; only the L2 /
-// stats side, which is slot-state, sees the different walk order.
-template <TraversalKernel K>
-void run_warp_list(const K& k, const GpuAddressSpace& space,
-                   const DeviceConfig& cfg, const GpuMode& mode,
-                   const LaunchGeometry& shape, std::uint64_t stack_base0,
-                   std::span<const std::uint32_t> warps, std::size_t grid,
-                   std::size_t p, KernelStats& stats, L2Cache* l2,
-                   obs::TraceSink* trace, obs::ProfileSink* profile,
-                   OverflowReport& overflow,
-                   typename K::Result* results,
-                   std::uint32_t* per_point_visits,
-                   std::uint32_t* per_warp_pops,
-                   std::uint32_t kernel_id = kSoloKernel,
-                   const StacklessCtx* sctx = nullptr) {
-  WarpMemory mem(space, cfg, l2, stats, sctx ? sctx->cache : nullptr);
-  if constexpr (kernel_shares_node_loads<K>) mem.set_shared_load_elision(true);
-  const std::uint64_t base = stack_base0 + shape.per_warp_span * p;
-  obs::WarpTracer* tr = trace ? &trace->ring(omp_get_thread_num()) : nullptr;
-  obs::ProfileCollector* pc =
-      profile ? &profile->collector(omp_get_thread_num()) : nullptr;
-  WarpEngine<K> eng(k, cfg, mem, stats, overflow, shape.stack_bound, tr, pc);
-  const WarpArenas arenas = make_warp_arenas(shape, cfg, mode, base);
+// A launch's executed mode (never auto_select) plus, when auto_select was
+// resolved, the decision record whose sampling finish_launch charges.
+struct ResolvedMode {
+  GpuMode mode;
+  std::optional<SelectionInfo> selection;
+};
 
-  for (std::size_t i = p; i < warps.size(); i += grid) {
-    const std::size_t w = warps[i];
-    if (tr) tr->begin_warp(static_cast<std::uint32_t>(w));
-    WarpRange range;
-    range.begin = static_cast<std::uint32_t>(w * cfg.warp_size);
-    range.end = static_cast<std::uint32_t>(
-        std::min<std::size_t>(shape.n, (w + 1) * cfg.warp_size));
-    eng.begin_chunk(static_cast<std::uint32_t>(w), range,
-                    results + range.begin,
-                    mode.lockstep ? nullptr : per_point_visits + range.begin,
-                    mode.lockstep ? &per_warp_pops[w] : nullptr, kernel_id);
-    run_chunk(eng, mode, arenas, sctx);
-    eng.end_chunk();
-    if (tr) trace->commit(static_cast<std::uint32_t>(w), *tr);
-  }
+// Resolve auto_select: draw `mode.profile_samples` traversal-pair samples
+// through `sample(samples, seed) -> ProfileReport` and dispatch to the
+// lockstep composition iff the input looks sorted. Every other variant
+// passes through unchanged. `who` prefixes the error thrown on
+// profile_samples == 0.
+template <class Sampler>
+[[nodiscard]] ResolvedMode resolve_mode(const GpuMode& mode,
+                                        const DeviceConfig& cfg,
+                                        const char* who, Sampler&& sample) {
+  ResolvedMode r{mode, std::nullopt};
+  if (mode.variant != Variant::kAutoSelect) return r;
+  if (mode.profile_samples == 0)
+    throw std::invalid_argument(std::string(who) +
+                                ": auto_select needs profile_samples >= 1");
+  const ProfileReport p = sample(mode.profile_samples, mode.profile_seed);
+  r.mode.variant =
+      p.looks_sorted ? Variant::kAutoLockstep : Variant::kAutoNolockstep;
+  SelectionInfo sel;
+  sel.mean_similarity = p.mean_similarity;
+  sel.baseline_similarity = p.baseline_similarity;
+  sel.samples = p.samples;
+  sel.threshold = p.threshold;
+  sel.chosen = r.mode.variant;
+  sel.sampling_cycles = sampling_cycles(p.sampled_visits, cfg);
+  r.selection = sel;
+  return r;
 }
 
 // ---------------------------------------------------------------------
-// Type-erased launch API.
+// Step 2: prepare and run.
 // ---------------------------------------------------------------------
 
 // Per-launch execution state behind a virtual boundary: typed result
-// storage plus the untyped counters / overflow report the scheduler needs.
-// Created by KernelHandle::prepare with a *resolved* mode (no
-// auto_select), which fixes the shape and reserves the stack arena.
+// storage plus the untyped counters / overflow report the fan-outs need.
 class LaunchRun {
  public:
   virtual ~LaunchRun() = default;
 
+  GpuMode mode;  // resolved: never auto_select
   LaunchGeometry shape;
   // Non-lockstep: per-point node visits; lockstep: per-warp pop counts
   // (same split as GpuRun).
@@ -331,18 +291,166 @@ class LaunchRun {
   std::vector<std::uint32_t> per_warp_pops;
   OverflowReport overflow;
 
-  // Simulate every chunk assigned to physical warp slot `p` (< shape.grid).
-  virtual void run_slot(std::size_t p, KernelStats& stats, L2Cache* l2) = 0;
-  // Sharded execution (core/device_group.h): slot `p` of a device whose
-  // assigned chunk list is `warps` and whose physical grid is `grid` walks
-  // warps[p], warps[p + grid], ... Results/counters land in the same
-  // canonical warp-indexed storage as run_slot.
-  virtual void run_shard_slot(std::span<const std::uint32_t> warps,
+  // Simulate physical warp slot `p` of a `grid`-slot residency: construct
+  // the slot's memory front end, engine and arena policies once, then walk
+  // chunks[p], chunks[p + grid], ... through the composition table. Each
+  // chunk's traversal depends only on its logical warp index, so results
+  // and visit counters land identically in the canonical warp-indexed
+  // arrays whatever list the slot walks; only the slot's L2 / stats see
+  // the walk order.
+  virtual void run_chunk_list(std::span<const std::uint32_t> chunks,
                               std::size_t grid, std::size_t p,
                               KernelStats& stats, L2Cache* l2) = 0;
+
+  // The launch's own residency: slot `p` (< shape.grid) walks the dense
+  // Figure 9b order p, p + grid, ...
+  void run_slot(std::size_t p, KernelStats& stats, L2Cache* l2) {
+    run_chunk_list(all_chunks_, shape.grid, p, stats, l2);
+  }
+
   [[nodiscard]] virtual const void* result_data() const = 0;
   [[nodiscard]] virtual std::size_t result_stride() const = 0;
+
+ protected:
+  std::vector<std::uint32_t> all_chunks_;  // 0, 1, ..., n_warps - 1
 };
+
+template <TraversalKernel K>
+class TypedLaunchRun final : public LaunchRun {
+ public:
+  // Runs serially before any slot: sizes the launch, registers its stack
+  // arena -- or, for the stackless family, the rope array (launch-time
+  // scratch like the arena, never part of the kernel's upload bytes) and
+  // the node cache built from the freed stack bytes -- and begins the
+  // optional trace/profile sinks. Ineligible stackless pairings throw the
+  // canonical reason string (core/static_ropes.h) behind "launch: ".
+  TypedLaunchRun(const K& k, GpuAddressSpace& space, const DeviceConfig& cfg,
+                 const GpuMode& resolved, obs::TraceSink* trace,
+                 obs::ProfileSink* profile, std::uint32_t kernel_id)
+      : k_(&k),
+        space_(&space),
+        cfg_(&cfg),
+        trace_(trace),
+        profile_(profile),
+        kernel_id_(kernel_id),
+        lockstep_(variant_is_lockstep(resolved.variant)) {
+    mode = resolved;
+    shape = launch_geometry(k, cfg, mode);
+    results_.resize(shape.n);
+    if (lockstep_)
+      per_warp_pops.assign(shape.n_warps, 0);
+    else
+      per_point_visits.assign(shape.n, 0);
+    all_chunks_.resize(shape.n_warps);
+    std::iota(all_chunks_.begin(), all_chunks_.end(), 0u);
+    if (variant_is_stackless(mode.variant)) {
+      const std::string why = kernel_variant_ineligible_reason(k, mode.variant);
+      if (!why.empty()) throw std::invalid_argument("launch: " + why);
+      if constexpr (StacklessCompatibleKernel<K>) {
+        sctx_.rope_buf = space.ensure_buffer(
+            "ropes", 4, static_cast<std::uint64_t>(k.ropes().rope.size()));
+        if (mode.node_cache_bytes > 0) {
+          cache_ = SmemNodeCache::build(space, k.node_buffers(),
+                                        k.ropes().rope.size(),
+                                        stackless_cache_bytes(cfg, shape, mode));
+          sctx_.cache = &cache_;
+        }
+      }
+    } else {
+      stack_base0_ = space.addr(ensure_stack_arena(space, mode, shape), 0);
+    }
+    if (trace) trace->begin(shape.n_warps, omp_get_max_threads());
+    if (profile) profile->begin(omp_get_max_threads());
+  }
+
+  void run_chunk_list(std::span<const std::uint32_t> chunks, std::size_t grid,
+                      std::size_t p, KernelStats& stats,
+                      L2Cache* l2) override {
+    const DeviceConfig& cfg = *cfg_;
+    WarpMemory mem(*space_, cfg, l2, stats, sctx_.cache);
+    // Fused kernels share node records between constituents; serve the
+    // duplicate per-lane loads once (core/kernel_compose.h).
+    if constexpr (kernel_shares_node_loads<K>)
+      mem.set_shared_load_elision(true);
+    obs::WarpTracer* tr =
+        trace_ ? &trace_->ring(omp_get_thread_num()) : nullptr;
+    obs::ProfileCollector* pc =
+        profile_ ? &profile_->collector(omp_get_thread_num()) : nullptr;
+    WarpEngine<K> eng(*k_, cfg, mem, stats, overflow, shape.stack_bound, tr,
+                      pc);
+    const WarpArenas arenas = make_warp_arenas(
+        shape, cfg, mode, stack_base0_ + shape.per_warp_span * p);
+
+    for (std::size_t i = p; i < chunks.size(); i += grid) {
+      const std::uint32_t w = chunks[i];
+      if (tr) tr->begin_warp(w);
+      WarpRange range;
+      range.begin = static_cast<std::uint32_t>(w * cfg.warp_size);
+      range.end = static_cast<std::uint32_t>(std::min<std::size_t>(
+          shape.n, (static_cast<std::size_t>(w) + 1) * cfg.warp_size));
+      eng.begin_chunk(w, range, results_.data() + range.begin,
+                      lockstep_ ? nullptr
+                                : per_point_visits.data() + range.begin,
+                      lockstep_ ? &per_warp_pops[w] : nullptr, kernel_id_);
+      run_chunk(eng, mode.variant, arenas, sctx_);
+      eng.end_chunk();
+      if (tr) trace_->commit(w, *tr);
+    }
+  }
+
+  [[nodiscard]] const void* result_data() const override {
+    return results_.data();
+  }
+  [[nodiscard]] std::size_t result_stride() const override {
+    return sizeof(typename K::Result);
+  }
+  [[nodiscard]] std::vector<typename K::Result> take_results() {
+    return std::move(results_);
+  }
+
+ private:
+  const K* k_;
+  const GpuAddressSpace* space_;
+  const DeviceConfig* cfg_;
+  obs::TraceSink* trace_;
+  obs::ProfileSink* profile_;
+  std::uint32_t kernel_id_;
+  bool lockstep_;
+  std::uint64_t stack_base0_ = 0;
+  std::vector<typename K::Result> results_;
+  // Stackless launches only: rope buffer id + modelled node cache.
+  StacklessCtx sctx_;
+  SmemNodeCache cache_;
+};
+
+// ---------------------------------------------------------------------
+// Step 3: finish.
+// ---------------------------------------------------------------------
+
+// One launch's measurement, or the detail of its stack overflow.
+struct LaunchTotals {
+  // Non-empty when a warp overflowed its stack bound: "variant V, warp W,
+  // E entries, stack_bound B". The numbers below are then left zero.
+  std::string overflow;
+  KernelStats stats;
+  TimeBreakdown time;
+  std::optional<obs::ProfileReport> profile;
+};
+
+// Merge the slots' counters and estimate the launch's time. A resolved
+// auto_select's sampling runs serially before the kernel, so it is charged
+// to compute time without overlap and recorded as a launch-scope kSelect
+// event on `trace` (after the slots ran: TraceSink::begin clears events).
+// The profile is built after the charge so reconciles() covers the whole
+// launch.
+[[nodiscard]] LaunchTotals finish_launch(
+    const LaunchRun& run, const std::vector<KernelStats>& per_slot,
+    const std::optional<SelectionInfo>& selection, const DeviceConfig& cfg,
+    obs::TraceSink* trace, obs::ProfileSink* profile);
+
+// ---------------------------------------------------------------------
+// Type-erased launch API.
+// ---------------------------------------------------------------------
 
 // Virtual-dispatch wrapper over a NamedTraversalKernel. The handle does
 // not own the kernel or its tree/point data by default; pass `keep_alive`
@@ -357,17 +465,9 @@ class KernelHandle {
   [[nodiscard]] virtual int stack_bound() const = 0;
   [[nodiscard]] virtual std::size_t result_stride() const = 0;
 
-  // Whether this kernel can execute variant `v` (always true for the
-  // stack-based variants; the stackless family needs a rope-carrying
-  // unguided kernel -- see kernel_variant_eligible in static_ropes.h).
-  // Batched/sharded dispatch pre-checks this so an ineligible pairing
-  // fails one launch gracefully instead of throwing out of the pool.
-  [[nodiscard]] virtual bool variant_eligible(Variant v) const = 0;
-
   // The canonical ineligibility message for (this kernel, v) -- empty when
-  // the pair can run. Unlike variant_eligible this also covers the
-  // runtime empty-ropes case (core/static_ropes.h), so batched admission
-  // reports the same string run_gpu_sim would throw.
+  // the pair can run (core/static_ropes.h), so batched admission reports
+  // the same string run_gpu_sim would throw.
   [[nodiscard]] virtual std::string variant_ineligible_reason(
       Variant v) const = 0;
 
@@ -375,99 +475,13 @@ class KernelHandle {
   [[nodiscard]] virtual ProfileReport profile(std::size_t samples,
                                               std::uint64_t seed) const = 0;
 
-  // Size the launch, reserve its stack arena in `space` (same buffer names
-  // and addresses as run_gpu_sim would) and allocate result/counter
-  // storage. `mode` must be resolved -- throws std::invalid_argument on a
-  // mode still carrying auto_select.
+  // Prepare a TypedLaunchRun in `space` (same buffer names and addresses
+  // as run_gpu_sim). `mode` must be resolved -- throws
+  // std::invalid_argument on a mode still carrying auto_select.
   [[nodiscard]] virtual std::unique_ptr<LaunchRun> prepare(
       GpuAddressSpace& space, const DeviceConfig& cfg, const GpuMode& mode,
       obs::TraceSink* trace, obs::ProfileSink* profile,
       std::uint32_t kernel_id) const = 0;
-};
-
-template <NamedTraversalKernel K>
-class TypedLaunchRun final : public LaunchRun {
- public:
-  TypedLaunchRun(const K& k, GpuAddressSpace& space, const DeviceConfig& cfg,
-                 GpuMode mode, obs::TraceSink* trace,
-                 obs::ProfileSink* profile, std::uint32_t kernel_id)
-      : k_(&k),
-        space_(&space),
-        cfg_(&cfg),
-        mode_(mode),
-        trace_(trace),
-        profile_(profile),
-        kernel_id_(kernel_id) {
-    shape = launch_geometry(k, cfg, mode);
-    results_.resize(shape.n);
-    if (mode.lockstep)
-      per_warp_pops.assign(shape.n_warps, 0);
-    else
-      per_point_visits.assign(shape.n, 0);
-    if (mode.stackless) {
-      // No stack arena. Register the rope array (launch-time scratch, like
-      // the arena -- never part of the kernel's upload bytes) and build
-      // the shared-memory node cache from the freed stack bytes. This
-      // constructor runs serially (prepare), so ensure_buffer is safe.
-      // Ineligible pairings throw the canonical reason string
-      // (core/static_ropes.h), same spelling as run_gpu_sim's.
-      const std::string why =
-          kernel_variant_ineligible_reason(k, mode.variant());
-      if (!why.empty()) throw std::invalid_argument("launch: " + why);
-      if constexpr (StacklessCompatibleKernel<K>) {
-        sctx_.rope_buf = space.ensure_buffer(
-            "ropes", 4, static_cast<std::uint64_t>(k.ropes().rope.size()));
-        if (mode.smem_node_cache) {
-          cache_ = SmemNodeCache::build(space, k.node_buffers(),
-                                        k.ropes().rope.size(),
-                                        stackless_cache_bytes(cfg, shape, mode));
-          sctx_.cache = &cache_;
-        }
-      }
-    } else {
-      BufferId buf = ensure_stack_arena(space, mode, shape);
-      stack_base0_ = space.addr(buf, 0);
-    }
-  }
-
-  void run_slot(std::size_t p, KernelStats& stats, L2Cache* l2) override {
-    run_warp_slot(*k_, *space_, *cfg_, mode_, shape, stack_base0_, p, stats,
-                  l2, trace_, profile_, overflow, results_.data(),
-                  mode_.lockstep ? nullptr : per_point_visits.data(),
-                  mode_.lockstep ? per_warp_pops.data() : nullptr,
-                  kernel_id_, mode_.stackless ? &sctx_ : nullptr);
-  }
-
-  void run_shard_slot(std::span<const std::uint32_t> warps, std::size_t grid,
-                      std::size_t p, KernelStats& stats, L2Cache* l2) override {
-    run_warp_list(*k_, *space_, *cfg_, mode_, shape, stack_base0_, warps,
-                  grid, p, stats, l2, trace_, profile_, overflow,
-                  results_.data(),
-                  mode_.lockstep ? nullptr : per_point_visits.data(),
-                  mode_.lockstep ? per_warp_pops.data() : nullptr,
-                  kernel_id_, mode_.stackless ? &sctx_ : nullptr);
-  }
-
-  [[nodiscard]] const void* result_data() const override {
-    return results_.data();
-  }
-  [[nodiscard]] std::size_t result_stride() const override {
-    return sizeof(typename K::Result);
-  }
-
- private:
-  const K* k_;
-  const GpuAddressSpace* space_;
-  const DeviceConfig* cfg_;
-  GpuMode mode_;
-  obs::TraceSink* trace_;
-  obs::ProfileSink* profile_;
-  std::uint32_t kernel_id_;
-  std::uint64_t stack_base0_ = 0;
-  std::vector<typename K::Result> results_;
-  // Stackless launches only: rope buffer id + modelled node cache.
-  StacklessCtx sctx_;
-  SmemNodeCache cache_;
 };
 
 template <NamedTraversalKernel K>
@@ -486,10 +500,6 @@ class TypedKernelHandle final : public KernelHandle {
     return sizeof(typename K::Result);
   }
 
-  [[nodiscard]] bool variant_eligible(Variant v) const override {
-    return kernel_variant_eligible<K>(v);
-  }
-
   [[nodiscard]] std::string variant_ineligible_reason(Variant v) const override {
     return kernel_variant_ineligible_reason(*k_, v);
   }
@@ -503,10 +513,10 @@ class TypedKernelHandle final : public KernelHandle {
       GpuAddressSpace& space, const DeviceConfig& cfg, const GpuMode& mode,
       obs::TraceSink* trace, obs::ProfileSink* profile,
       std::uint32_t kernel_id) const override {
-    if (mode.auto_select)
+    if (mode.variant == Variant::kAutoSelect)
       throw std::invalid_argument(
           "KernelHandle::prepare: mode still carries auto_select; resolve "
-          "the launch decision first (run_gpu_batch does)");
+          "the launch decision first (resolve_mode does)");
     return std::make_unique<TypedLaunchRun<K>>(*k_, space, cfg, mode, trace,
                                                profile, kernel_id);
   }
@@ -529,7 +539,7 @@ struct LaunchSpec {
   // solo run registered (tree + points), so arena addresses -- and
   // therefore every modelled memory event -- match the solo run.
   GpuAddressSpace* space = nullptr;
-  // May carry auto_select; run_gpu_batch resolves it per launch through
+  // May carry auto_select; run_launch_pool resolves it per launch through
   // KernelHandle::profile with the mode's profile_samples/profile_seed.
   GpuMode mode;
   obs::TraceSink* trace = nullptr;      // optional per-launch trace

@@ -21,7 +21,10 @@ struct VariantDecision {
   bool lockstep = false;
   bool legal_lockstep = false;
   double profiled_similarity = 0;
-  GpuMode mode() const { return GpuMode{/*autoropes=*/true, lockstep}; }
+  [[nodiscard]] GpuMode mode() const {
+    return GpuMode::from(lockstep ? Variant::kAutoLockstep
+                                  : Variant::kAutoNolockstep);
+  }
 };
 
 // Combine the static analysis of the kernel's IR description with a

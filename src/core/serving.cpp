@@ -7,10 +7,7 @@
 #include <optional>
 #include <stdexcept>
 
-#include <omp.h>
-
 #include "obs/chrome_trace.h"
-#include "simt/cost_model.h"
 #include "simt/executor.h"
 #include "simt/l2cache.h"
 #include "util/rng.h"
@@ -27,8 +24,7 @@ LaunchPool run_launch_pool(std::span<const LaunchSpec> specs,
   LaunchPool out;
 
   struct Prep {
-    GpuMode mode;  // resolved (auto_select replaced by its dispatch)
-    std::optional<SelectionInfo> selection;
+    ResolvedMode resolved;
     std::unique_ptr<LaunchRun> run;
     std::vector<KernelStats> per_slot;
     std::size_t slice_bytes = 0;
@@ -43,32 +39,13 @@ LaunchPool run_launch_pool(std::span<const LaunchSpec> specs,
                                   std::to_string(i) +
                                   " is missing its kernel or address space");
     Prep& pr = preps[i];
-    GpuMode mode = spec.mode;
-    if (mode.variant() == Variant::kAutoSelect) {
-      // Per-launch section-4.4 resolution, exactly like run_gpu_sim's
-      // early dispatch: sample, choose the autoropes composition, and
-      // charge the sampling to this launch's cost model afterwards.
-      if (mode.profile_samples == 0)
-        throw std::invalid_argument(
-            "run_launch_pool: auto_select needs profile_samples >= 1");
-      const ProfileReport p =
-          spec.kernel->profile(mode.profile_samples, mode.profile_seed);
-      mode.auto_select = false;
-      mode.autoropes = true;
-      mode.lockstep = p.looks_sorted;
-      SelectionInfo sel;
-      sel.mean_similarity = p.mean_similarity;
-      sel.baseline_similarity = p.baseline_similarity;
-      sel.samples = p.samples;
-      sel.threshold = p.threshold;
-      sel.chosen = mode.variant();
-      sel.sampling_cycles =
-          static_cast<double>(p.sampled_visits) * (cfg.c_visit + cfg.c_step);
-      pr.selection = sel;
-    }
-    pr.mode = mode;
+    pr.resolved = resolve_mode(
+        spec.mode, cfg, "run_launch_pool",
+        [&](std::size_t samples, std::uint64_t seed) {
+          return spec.kernel->profile(samples, seed);
+        });
     const std::string why =
-        spec.kernel->variant_ineligible_reason(mode.variant());
+        spec.kernel->variant_ineligible_reason(pr.resolved.mode.variant);
     if (!why.empty()) {
       // Isolation, like an overflow: this launch fails with a prefixed
       // error and zeroed numbers; sibling launches still execute. The
@@ -79,20 +56,11 @@ LaunchPool run_launch_pool(std::span<const LaunchSpec> specs,
       out.shapes.push_back(LaunchGeometry{});
       continue;
     }
-    pr.run = spec.kernel->prepare(*spec.space, cfg, mode, spec.trace,
-                                  spec.profile,
+    pr.run = spec.kernel->prepare(*spec.space, cfg, pr.resolved.mode,
+                                  spec.trace, spec.profile,
                                   static_cast<std::uint32_t>(i));
     pr.per_slot.assign(pr.run->shape.grid, KernelStats{});
-    // The launch's own L2 slice size -- the same formula run_warps uses
-    // for a solo run over this launch's grid (byte-identity requires it).
-    const std::size_t grid = pr.run->shape.grid;
-    const std::size_t resident = std::min<std::size_t>(
-        grid == 0 ? 1 : grid,
-        static_cast<std::size_t>(cfg.max_resident_warps()));
-    pr.slice_bytes = cfg.l2_bytes / resident;
-    if (spec.trace)
-      spec.trace->begin(pr.run->shape.n_warps, omp_get_max_threads());
-    if (spec.profile) spec.profile->begin(omp_get_max_threads());
+    pr.slice_bytes = l2_slice_bytes(cfg, pr.run->shape.grid);
     out.shapes.push_back(pr.run->shape);
   }
 
@@ -132,7 +100,7 @@ LaunchPool run_launch_pool(std::span<const LaunchSpec> specs,
     LaunchResult r;
     r.kernel_name = spec.kernel->name();
     r.batch_index = i;
-    r.variant = pr.mode.variant();
+    r.variant = pr.resolved.mode.variant;
     if (!pr.run) {
       r.result_stride = spec.kernel->result_stride();
       r.error = pr.error;
@@ -142,41 +110,21 @@ LaunchPool run_launch_pool(std::span<const LaunchSpec> specs,
     r.n_points = pr.run->shape.n;
     r.n_warps = pr.run->shape.n_warps;
     r.result_stride = pr.run->result_stride();
-    if (pr.run->overflow.overflowed()) {
+    LaunchTotals t = finish_launch(*pr.run, pr.per_slot, pr.resolved.selection,
+                                   cfg, spec.trace, spec.profile);
+    if (!t.overflow.empty()) {
       // Isolation: this launch fails with a name+index-prefixed error and
       // zeroed numbers; sibling launches are untouched.
       r.error = std::string("kernel ") + r.kernel_name + " (batch " +
-                std::to_string(i) + "): rope stack overflow (variant " +
-                variant_name(r.variant) + ", warp " +
-                std::to_string(pr.run->overflow.warp()) + ", " +
-                std::to_string(pr.run->overflow.entries()) +
-                " entries, stack_bound " +
-                std::to_string(pr.run->shape.stack_bound) + ")";
+                std::to_string(i) + "): rope stack overflow (" + t.overflow +
+                ")";
       out.launches.push_back(std::move(r));
       continue;
     }
-    r.stats = merge_stats(pr.per_slot);
-    r.time = estimate_time_balanced(instr_cycles_of(pr.per_slot), r.stats, cfg);
-    if (pr.selection) {
-      // Same accounting as run_gpu_sim's auto_select dispatch: sampling
-      // runs serially before the kernel, charged to compute time.
-      r.selection = pr.selection;
-      r.stats.note_sampling_cycles(pr.selection->sampling_cycles);
-      const double cycles_per_ms = cfg.clock_ghz * 1e6;
-      r.time.compute_ms += pr.selection->sampling_cycles / cycles_per_ms;
-      r.time.total_ms = std::max(r.time.compute_ms, r.time.memory_ms);
-      r.time.memory_bound = r.time.memory_ms > r.time.compute_ms;
-      if (spec.trace)
-        spec.trace->record_launch(
-            obs::TraceEventKind::kSelect, 0xffffffffu,
-            static_cast<std::uint32_t>(pr.selection->samples), 0,
-            pr.selection->chosen == Variant::kAutoLockstep ? 1u : 0u);
-    }
-    if (spec.profile) {
-      // Build AFTER the sampling charge so reconciliation covers it.
-      const obs::ProfileCollector merged = spec.profile->merged();
-      r.profile = obs::make_profile_report(r.stats, cfg, &merged);
-    }
+    r.stats = std::move(t.stats);
+    r.time = t.time;
+    r.selection = pr.resolved.selection;
+    r.profile = std::move(t.profile);
     const std::byte* data =
         static_cast<const std::byte*>(pr.run->result_data());
     r.results.assign(data, data + r.n_points * r.result_stride);
@@ -250,11 +198,7 @@ ServingSession::ServingSession(ServingConfig cfg) : cfg_(std::move(cfg)) {
 }
 
 ServingSession::CacheKey ServingSession::cache_key(const LaunchSpec& spec) {
-  const GpuMode& m = spec.mode;
-  return std::make_tuple(spec.kernel.get(), m.autoropes, m.lockstep,
-                         m.auto_select,
-                         m.contiguous_stack, m.lockstep_stack_global,
-                         m.grid_limit, m.profile_samples, m.profile_seed);
+  return {spec.kernel.get(), spec.mode};
 }
 
 bool ServingSession::submit(QuerySet q, double arrival_ms) {

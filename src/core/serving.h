@@ -48,7 +48,7 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/batch_scheduler.h"
@@ -273,9 +273,9 @@ class ServingSession {
     double total_ms = 0;
     bool ok = true;
   };
-  using CacheKey =
-      std::tuple<const KernelHandle*, bool, bool, bool, bool, bool,
-                 std::size_t, std::size_t, std::uint64_t>;
+  // The whole GpuMode: equal modes simulate identically, and any field
+  // left out would let two different launches replay each other.
+  using CacheKey = std::pair<const KernelHandle*, GpuMode>;
   static CacheKey cache_key(const LaunchSpec& spec);
 
   void advance_to(double now_ms);

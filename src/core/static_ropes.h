@@ -14,6 +14,10 @@
 //   * the preprocessing pass touches the whole tree before the first
 //     traversal (bench/ablation_ropes.cpp measures that cost).
 //
+// On the simulated GPU a static-ropes walk is the stackless variant family
+// (stackless_lockstep / stackless_nolockstep, core/stack_policy.h's
+// StacklessRope) with the shared-memory node cache off.
+//
 // With this library's left-biased DFS linearization the canonical
 // traversal is simply increasing node ids: descend == n+1, and
 // rope[n] == n + subtree_size(n).
@@ -62,6 +66,25 @@ concept RopeCompatibleKernel =
     requires(const K k, NodeId n) {
       { k.uarg_at(n) } -> std::same_as<typename K::UArg>;
     };
+
+// CPU reference for the stackless walk: every point follows the canonical
+// DFS order, descending to n+1 and escaping along rope[n] (no stack).
+template <RopeCompatibleKernel K>
+[[nodiscard]] std::vector<typename K::Result> run_cpu_ropes(
+    const K& k, const StaticRopes& ropes) {
+  std::vector<typename K::Result> out(k.num_points());
+  const typename K::LArg no_larg{};
+  for (std::uint32_t pid = 0; pid < k.num_points(); ++pid) {
+    NoopMem mem;
+    typename K::State st = k.init(pid, mem, 0);
+    for (NodeId cur = k.root(); cur != StaticRopes::kEndOfTraversal;)
+      cur = k.visit(cur, k.uarg_at(cur), no_larg, st, mem, 0)
+                ? cur + 1
+                : ropes.rope[static_cast<std::size_t>(cur)];
+    out[pid] = k.finish(st);
+  }
+  return out;
+}
 
 // Kernels eligible for the stackless Variant family: rope-compatible AND
 // carrying their own installed ropes plus the list of node buffers the

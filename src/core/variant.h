@@ -4,13 +4,14 @@
 // dispatches to the lockstep or non-lockstep autoropes composition), and
 // the stackless family (escape-index ropes and Wald-style index walks
 // with the freed shared memory repurposed as a modelled node cache).
-// `Variant` is the public way to name a configuration; `GpuMode` is the
-// executor-facing knob struct it expands to (plus the section-5.2 ablation
-// switches). Harness results, reports and tests all key off `Variant` so a
+// `Variant` is the public way to name a configuration; `GpuMode` is a
+// Variant plus the knobs that are not part of its identity (the
+// section-5.2 ablation switches, the grid, the sampler, the node cache). Harness results, reports and tests all key off `Variant` so a
 // variant has exactly one spelling everywhere.
 #pragma once
 
 #include <array>
+#include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -210,9 +211,13 @@ struct SelectionInfo {
   double sampling_cycles = 0;  // modelled cost charged for the sampling
 };
 
+// How one launch runs: the Variant plus the knobs that are not part of a
+// variant's identity -- the section-5.2 ablation switches, the Figure 9b
+// grid, the section-4.4 sampler and the stackless node-cache capacity.
+// Two launches with equal GpuModes simulate identically, which is what the
+// serving layer's warm-replay key relies on.
 struct GpuMode {
-  bool autoropes = true;
-  bool lockstep = false;
+  Variant variant = Variant::kAutoNolockstep;
 
   // Ablation knobs for the section-5.2 design choices (defaults are the
   // paper's choices). `contiguous_stack` gives each lane a dense private
@@ -228,51 +233,29 @@ struct GpuMode {
   // per warp (the default model); otherwise the physical warp count.
   std::size_t grid_limit = 0;
 
-  // Section 4.4 adaptive selection: when set, run_gpu_sim samples
+  // Section 4.4 adaptive selection (auto_select only): sample
   // `profile_samples` adjacent traversal pairs with a deterministic
-  // `profile_seed`, charges the sampling to the cost model, and dispatches
-  // to the lockstep or non-lockstep autoropes composition. The `lockstep`
-  // flag above is then decided at launch, not here.
-  bool auto_select = false;
+  // `profile_seed`, charge the sampling to the cost model, and dispatch to
+  // the lockstep or non-lockstep autoropes composition.
   std::size_t profile_samples = 32;
   std::uint64_t profile_seed = 1;
 
-  // Stackless family (escape-index ropes / index arithmetic): no traversal
-  // stack is allocated at all, so ensure_stack_arena is skipped and the
-  // profiler's `stack` bucket stays at exactly zero. `index_walk` selects
-  // the Wald-style arithmetic escape (no rope loads either); otherwise the
-  // rope array is read per escape like ropes_executor does.
-  bool stackless = false;
-  bool index_walk = false;
-  // Shared-memory top-of-tree node cache, modelled in WarpMemory::commit.
-  // cache_bytes == 0 means "the bytes the per-warp lockstep stack record
-  // used to occupy" (resolved at launch from the geometry); any other
-  // value pins the capacity for the ablation sweep.
-  bool smem_node_cache = false;
-  std::size_t cache_bytes = 0;
+  // Shared-memory top-of-tree node cache of the stackless family, modelled
+  // in WarpMemory::commit; other variants ignore it. 0 turns the cache
+  // off, kNodeCacheFreedStack sizes it to the bytes the per-warp lockstep
+  // stack record used to occupy (resolved at launch from the geometry),
+  // and any other value pins the capacity for the ablation sweep.
+  static constexpr std::size_t kNodeCacheFreedStack = SIZE_MAX;
+  std::size_t node_cache_bytes = kNodeCacheFreedStack;
 
   // The canonical spelling of the eight variants.
   [[nodiscard]] static constexpr GpuMode from(Variant v) {
     GpuMode m;
-    m.autoropes = variant_is_autoropes(v);
-    m.lockstep = variant_is_lockstep(v);
-    m.auto_select = v == Variant::kAutoSelect;
-    m.stackless = variant_is_stackless(v);
-    m.index_walk = v == Variant::kIndexWalk;
-    m.smem_node_cache = m.stackless;
+    m.variant = v;
     return m;
   }
 
-  [[nodiscard]] constexpr Variant variant() const {
-    if (auto_select) return Variant::kAutoSelect;
-    if (index_walk) return Variant::kIndexWalk;
-    if (stackless)
-      return lockstep ? Variant::kStacklessLockstep
-                      : Variant::kStacklessNolockstep;
-    if (autoropes)
-      return lockstep ? Variant::kAutoLockstep : Variant::kAutoNolockstep;
-    return lockstep ? Variant::kRecLockstep : Variant::kRecNolockstep;
-  }
+  friend constexpr auto operator<=>(const GpuMode&, const GpuMode&) = default;
 };
 
 }  // namespace tt

@@ -7,7 +7,9 @@
 // header only knows how to fan warps out and collect counters.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include <omp.h>
@@ -18,17 +20,25 @@
 
 namespace tt {
 
+// The L2 slice each of a launch's `n_warps` physical warps owns: the L2
+// split across the warps that can be resident at once. Every fan-out
+// (solo, pooled, sharded) sizes its slices with this one formula, which
+// is part of what keeps their numbers byte-identical.
+[[nodiscard]] inline std::size_t l2_slice_bytes(const DeviceConfig& cfg,
+                                                std::size_t n_warps) {
+  const std::size_t resident =
+      std::min<std::size_t>(n_warps == 0 ? 1 : n_warps,
+                            static_cast<std::size_t>(cfg.max_resident_warps()));
+  return cfg.l2_bytes / resident;
+}
+
 // fn(warp_index, stats, l2_slice_or_null) simulates one warp. Returns the
 // per-warp stats so cost models can account for inter-warp load imbalance.
 template <class WarpFn>
 std::vector<KernelStats> run_warps(std::size_t n_warps,
                                    const DeviceConfig& cfg, WarpFn&& fn) {
   std::vector<KernelStats> per_warp(n_warps);
-
-  std::size_t resident =
-      std::min<std::size_t>(n_warps == 0 ? 1 : n_warps,
-                            static_cast<std::size_t>(cfg.max_resident_warps()));
-  std::size_t slice_bytes = cfg.l2_bytes / resident;
+  const std::size_t slice_bytes = l2_slice_bytes(cfg, n_warps);
 
 #pragma omp parallel
   {

@@ -104,8 +104,8 @@ TEST(RayBvh, CoherentRaysLockstepBeatsIncoherent) {
 
   auto expansion = [&](const std::vector<Ray>& rays) {
     RayBvhKernel k(s.bvh, s.mesh, rays, s.space);
-    auto gn = run_gpu_sim(k, s.space, cfg, GpuMode{true, false});
-    auto gl = run_gpu_sim(k, s.space, cfg, GpuMode{true, true});
+    auto gn = run_gpu_sim(k, s.space, cfg, GpuMode::from(Variant::kAutoNolockstep));
+    auto gl = run_gpu_sim(k, s.space, cfg, GpuMode::from(Variant::kAutoLockstep));
     double total = 0;
     for (std::size_t w = 0; w < gl.per_warp_pops.size(); ++w) {
       std::uint32_t longest = 1;

@@ -45,7 +45,7 @@ TEST(Determinism, WholePipelineRepeatsFromSeed) {
     KdTree tree = build_kdtree(pts, 8);
     GpuAddressSpace space;
     PointCorrelationKernel k(tree, pts, 0.5f, space);
-    auto g = run_gpu_sim(k, space, DeviceConfig{}, GpuMode{true, true});
+    auto g = run_gpu_sim(k, space, DeviceConfig{}, GpuMode::from(Variant::kAutoLockstep));
     return std::make_pair(g.stats.dram_transactions, g.results);
   };
   auto a = run_once();
@@ -72,8 +72,8 @@ TEST(Determinism, GuidedKernelsRepeatToo) {
   GpuAddressSpace space;
   VpKernel k(tree, pts, space);
   DeviceConfig cfg;
-  auto a = run_gpu_sim(k, space, cfg, GpuMode{true, true});
-  auto b = run_gpu_sim(k, space, cfg, GpuMode{true, true});
+  auto a = run_gpu_sim(k, space, cfg, GpuMode::from(Variant::kAutoLockstep));
+  auto b = run_gpu_sim(k, space, cfg, GpuMode::from(Variant::kAutoLockstep));
   EXPECT_EQ(a.per_warp_pops, b.per_warp_pops);
   EXPECT_EQ(a.stats.votes, b.stats.votes);
 }

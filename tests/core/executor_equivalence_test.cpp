@@ -25,10 +25,10 @@ void expect_all_variants_equal(const K& k, GpuAddressSpace& space, Eq&& eq) {
   DeviceConfig cfg;
   auto cpu_rec = run_cpu(k, CpuVariant::kRecursive, 1);
   auto cpu_auto = run_cpu(k, CpuVariant::kAutoropes, 2);
-  auto gaN = run_gpu_sim(k, space, cfg, GpuMode{true, false});
-  auto gaL = run_gpu_sim(k, space, cfg, GpuMode{true, true});
-  auto grN = run_gpu_sim(k, space, cfg, GpuMode{false, false});
-  auto grL = run_gpu_sim(k, space, cfg, GpuMode{false, true});
+  auto gaN = run_gpu_sim(k, space, cfg, GpuMode::from(Variant::kAutoNolockstep));
+  auto gaL = run_gpu_sim(k, space, cfg, GpuMode::from(Variant::kAutoLockstep));
+  auto grN = run_gpu_sim(k, space, cfg, GpuMode::from(Variant::kRecNolockstep));
+  auto grL = run_gpu_sim(k, space, cfg, GpuMode::from(Variant::kRecLockstep));
 
   ASSERT_EQ(cpu_rec.results.size(), k.num_points());
   for (std::size_t i = 0; i < k.num_points(); ++i) {
@@ -174,7 +174,7 @@ TEST(Equivalence, StackOverflowDetected) {
   };
   LyingKernel k(tree, pts, 10.f, space);  // huge radius: full traversal
   DeviceConfig cfg;
-  EXPECT_THROW(run_gpu_sim(k, space, cfg, GpuMode{true, false}),
+  EXPECT_THROW(run_gpu_sim(k, space, cfg, GpuMode::from(Variant::kAutoNolockstep)),
                std::runtime_error);
 }
 

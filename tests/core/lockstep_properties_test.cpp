@@ -31,8 +31,8 @@ TEST(Lockstep, WarpUnionAtLeastLongestLane) {
   PcSetup s(/*sorted=*/true);
   PointCorrelationKernel k(s.tree, s.pts, s.radius, s.space);
   DeviceConfig cfg;
-  auto gaN = run_gpu_sim(k, s.space, cfg, GpuMode{true, false});
-  auto gaL = run_gpu_sim(k, s.space, cfg, GpuMode{true, true});
+  auto gaN = run_gpu_sim(k, s.space, cfg, GpuMode::from(Variant::kAutoNolockstep));
+  auto gaL = run_gpu_sim(k, s.space, cfg, GpuMode::from(Variant::kAutoLockstep));
   ASSERT_EQ(gaL.per_warp_pops.size(), gaN.n_warps);
   for (std::size_t w = 0; w < gaL.per_warp_pops.size(); ++w) {
     std::uint32_t longest = 0;
@@ -51,7 +51,7 @@ TEST(Lockstep, VisitsEachNodeAtMostOncePerWarp) {
   PcSetup s(true, 512);
   PointCorrelationKernel k(s.tree, s.pts, s.radius, s.space);
   DeviceConfig cfg;
-  auto gaL = run_gpu_sim(k, s.space, cfg, GpuMode{true, true});
+  auto gaL = run_gpu_sim(k, s.space, cfg, GpuMode::from(Variant::kAutoLockstep));
   for (auto pops : gaL.per_warp_pops)
     EXPECT_LE(pops, static_cast<std::uint32_t>(s.tree.topo.n_nodes));
 }
@@ -63,8 +63,8 @@ TEST(Lockstep, SortingReducesWorkExpansion) {
 
   auto expansion = [&](PcSetup& s) {
     PointCorrelationKernel k(s.tree, s.pts, s.radius, s.space);
-    auto gaN = run_gpu_sim(k, s.space, cfg, GpuMode{true, false});
-    auto gaL = run_gpu_sim(k, s.space, cfg, GpuMode{true, true});
+    auto gaN = run_gpu_sim(k, s.space, cfg, GpuMode::from(Variant::kAutoNolockstep));
+    auto gaL = run_gpu_sim(k, s.space, cfg, GpuMode::from(Variant::kAutoLockstep));
     double total = 0;
     std::size_t warps = gaL.per_warp_pops.size();
     for (std::size_t w = 0; w < warps; ++w) {
@@ -87,8 +87,8 @@ TEST(Lockstep, SortedLockstepCoalescesBetterThanNonLockstep) {
   PcSetup s(true, 2048, 9);
   PointCorrelationKernel k(s.tree, s.pts, s.radius, s.space);
   DeviceConfig cfg;
-  auto gaN = run_gpu_sim(k, s.space, cfg, GpuMode{true, false});
-  auto gaL = run_gpu_sim(k, s.space, cfg, GpuMode{true, true});
+  auto gaN = run_gpu_sim(k, s.space, cfg, GpuMode::from(Variant::kAutoNolockstep));
+  auto gaL = run_gpu_sim(k, s.space, cfg, GpuMode::from(Variant::kAutoLockstep));
   double per_visit_N = static_cast<double>(gaN.stats.dram_transactions) /
                        static_cast<double>(gaN.stats.lane_visits);
   double per_visit_L = static_cast<double>(gaL.stats.dram_transactions) /
@@ -104,7 +104,7 @@ TEST(Lockstep, GuidedMajorityVoteStillCorrectAndVotes) {
   GpuAddressSpace space;
   KnnKernel k(tree, pts, 4, space);
   DeviceConfig cfg;
-  auto gaL = run_gpu_sim(k, space, cfg, GpuMode{true, true});
+  auto gaL = run_gpu_sim(k, space, cfg, GpuMode::from(Variant::kAutoLockstep));
   EXPECT_GT(gaL.stats.votes, 0u);
   // Correctness of the vote variant is covered by the equivalence suite;
   // here: every warp terminated and produced pops.
@@ -118,7 +118,7 @@ TEST(Lockstep, MaskedLanesDoNotVisit) {
   PcSetup s(false, 1024, 13);
   PointCorrelationKernel k(s.tree, s.pts, s.radius, s.space);
   DeviceConfig cfg;
-  auto gaL = run_gpu_sim(k, s.space, cfg, GpuMode{true, true});
+  auto gaL = run_gpu_sim(k, s.space, cfg, GpuMode::from(Variant::kAutoLockstep));
   EXPECT_LT(gaL.stats.lane_visits, gaL.stats.warp_pops * 32);
   EXPECT_GT(gaL.stats.lane_visits, 0u);
 }
@@ -132,8 +132,8 @@ TEST(Recursive, PaysCallOverheadOnDivergentInput) {
   PcSetup s(/*sorted=*/false, 512, 15);
   PointCorrelationKernel k(s.tree, s.pts, s.radius, s.space);
   DeviceConfig cfg;
-  auto gaN = run_gpu_sim(k, s.space, cfg, GpuMode{true, false});
-  auto grN = run_gpu_sim(k, s.space, cfg, GpuMode{false, false});
+  auto gaN = run_gpu_sim(k, s.space, cfg, GpuMode::from(Variant::kAutoNolockstep));
+  auto grN = run_gpu_sim(k, s.space, cfg, GpuMode::from(Variant::kRecNolockstep));
   EXPECT_GT(grN.stats.calls, 0u);
   EXPECT_EQ(gaN.stats.calls, 0u);
   // Same semantic work...
@@ -146,8 +146,8 @@ TEST(Recursive, LockstepVisitsMatchAutoropesLockstep) {
   PcSetup s(true, 512, 17);
   PointCorrelationKernel k(s.tree, s.pts, s.radius, s.space);
   DeviceConfig cfg;
-  auto gaL = run_gpu_sim(k, s.space, cfg, GpuMode{true, true});
-  auto grL = run_gpu_sim(k, s.space, cfg, GpuMode{false, true});
+  auto gaL = run_gpu_sim(k, s.space, cfg, GpuMode::from(Variant::kAutoLockstep));
+  auto grL = run_gpu_sim(k, s.space, cfg, GpuMode::from(Variant::kRecLockstep));
   // The union traversal is the same set of (node, mask) visits.
   EXPECT_EQ(gaL.stats.lane_visits, grL.stats.lane_visits);
   EXPECT_EQ(gaL.stats.warp_pops, grL.stats.warp_pops);

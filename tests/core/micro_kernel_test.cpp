@@ -112,7 +112,7 @@ TEST(MicroKernel, AutoropesNonLockstepExactCounts) {
   LinearTree tree = tiny_tree();
   GpuAddressSpace space;
   MicroKernel k(tree, 32, /*odd_truncates=*/false, space);
-  auto g = run_gpu_sim(k, space, no_l2_config(), GpuMode{true, false});
+  auto g = run_gpu_sim(k, space, no_l2_config(), GpuMode::from(Variant::kAutoNolockstep));
 
   // One warp, all lanes traverse root+left+right.
   EXPECT_EQ(g.n_warps, 1u);
@@ -133,7 +133,7 @@ TEST(MicroKernel, AutoropesLockstepExactCounts) {
   LinearTree tree = tiny_tree();
   GpuAddressSpace space;
   MicroKernel k(tree, 32, false, space);
-  auto g = run_gpu_sim(k, space, no_l2_config(), GpuMode{true, true});
+  auto g = run_gpu_sim(k, space, no_l2_config(), GpuMode::from(Variant::kAutoLockstep));
 
   EXPECT_EQ(g.stats.warp_pops, 3u);
   EXPECT_EQ(g.per_warp_pops[0], 3u);
@@ -148,13 +148,13 @@ TEST(MicroKernel, TruncationMasksLanes) {
   GpuAddressSpace space;
   MicroKernel k(tree, 32, /*odd_truncates=*/true, space);
 
-  auto gl = run_gpu_sim(k, space, no_l2_config(), GpuMode{true, true});
+  auto gl = run_gpu_sim(k, space, no_l2_config(), GpuMode::from(Variant::kAutoLockstep));
   // Root visited by 32 lanes; leaves by the 16 even lanes each.
   EXPECT_EQ(gl.stats.lane_visits, 64u);
   EXPECT_EQ(gl.stats.warp_pops, 3u);  // warp still walks the union
   EXPECT_EQ(gl.stats.active_lane_sum, 64u);
 
-  auto gn = run_gpu_sim(k, space, no_l2_config(), GpuMode{true, false});
+  auto gn = run_gpu_sim(k, space, no_l2_config(), GpuMode::from(Variant::kAutoNolockstep));
   EXPECT_EQ(gn.stats.lane_visits, 64u);
   for (std::size_t i = 0; i < 32; ++i)
     EXPECT_EQ(gn.per_point_visits[i], (i & 1u) ? 1u : 3u) << i;
@@ -166,7 +166,7 @@ TEST(MicroKernel, PartialWarpHandled) {
   LinearTree tree = tiny_tree();
   GpuAddressSpace space;
   MicroKernel k(tree, 40, false, space);  // 1 full warp + 8 lanes
-  auto g = run_gpu_sim(k, space, no_l2_config(), GpuMode{true, true});
+  auto g = run_gpu_sim(k, space, no_l2_config(), GpuMode::from(Variant::kAutoLockstep));
   EXPECT_EQ(g.n_warps, 2u);
   EXPECT_EQ(g.per_warp_pops.size(), 2u);
   EXPECT_EQ(g.per_warp_pops[1], 3u);
@@ -178,8 +178,8 @@ TEST(MicroKernel, RecursiveVariantsSameSemanticsMoreCost) {
   LinearTree tree = tiny_tree();
   GpuAddressSpace space;
   MicroKernel k(tree, 32, true, space);
-  auto ga = run_gpu_sim(k, space, no_l2_config(), GpuMode{true, false});
-  auto gr = run_gpu_sim(k, space, no_l2_config(), GpuMode{false, false});
+  auto ga = run_gpu_sim(k, space, no_l2_config(), GpuMode::from(Variant::kAutoNolockstep));
+  auto gr = run_gpu_sim(k, space, no_l2_config(), GpuMode::from(Variant::kRecNolockstep));
   EXPECT_EQ(ga.results, gr.results);
   EXPECT_EQ(gr.stats.lane_visits, ga.stats.lane_visits);
   EXPECT_GT(gr.stats.calls, 0u);
@@ -191,8 +191,8 @@ TEST(MicroKernel, GridStrideSameResultsSameVisits) {
   LinearTree tree = tiny_tree();
   GpuAddressSpace space;
   MicroKernel k(tree, 200, true, space);
-  GpuMode wide{true, true};
-  GpuMode narrow{true, true};
+  GpuMode wide = GpuMode::from(Variant::kAutoLockstep);
+  GpuMode narrow = GpuMode::from(Variant::kAutoLockstep);
   narrow.grid_limit = 2;  // 2 physical warps cover 7 chunks
   auto a = run_gpu_sim(k, space, no_l2_config(), wide);
   auto b = run_gpu_sim(k, space, no_l2_config(), narrow);
@@ -206,8 +206,8 @@ TEST(MicroKernel, GridStrideReusesL2) {
   GpuAddressSpace space;
   MicroKernel k(tree, 2048, false, space);
   DeviceConfig cfg;  // L2 on
-  GpuMode wide{true, true};
-  GpuMode narrow{true, true};
+  GpuMode wide = GpuMode::from(Variant::kAutoLockstep);
+  GpuMode narrow = GpuMode::from(Variant::kAutoLockstep);
   narrow.grid_limit = 4;
   auto a = run_gpu_sim(k, space, cfg, wide);
   auto b = run_gpu_sim(k, space, cfg, narrow);

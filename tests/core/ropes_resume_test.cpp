@@ -1,12 +1,14 @@
-// The lockstep-ropes resume rule (core/ropes_executor.h): a lane truncated
-// at node n is masked until the warp's cursor reaches rope[n], then
-// resumes. A synthetic kernel with per-lane truncation sets makes the
-// reactivation pattern fully predictable.
+// The lockstep-ropes resume rule of stackless_lockstep with the node cache
+// off -- the static-ropes walk (core/convergence_policy.h's StacklessRope
+// flavor of WarpAndTruncation): a lane truncated at node n is masked until
+// the warp's cursor reaches rope[n], then resumes. A synthetic kernel with
+// per-lane truncation sets makes the reactivation pattern fully
+// predictable.
 #include <gtest/gtest.h>
 
 #include <set>
 
-#include "core/ropes_executor.h"
+#include "core/gpu_executors.h"
 #include "core/static_ropes.h"
 #include "spatial/linear_tree.h"
 
@@ -52,7 +54,8 @@ class TruncSetKernel {
 
   TruncSetKernel(const LinearTree& tree, std::size_t n,
                  std::vector<std::set<NodeId>> trunc, GpuAddressSpace& space)
-      : tree_(&tree), n_(n), trunc_(std::move(trunc)) {
+      : tree_(&tree), n_(n), trunc_(std::move(trunc)),
+        ropes_(install_ropes(tree)) {
     nodes0_ = space.register_buffer("ts_nodes0", 4,
                                     static_cast<std::uint64_t>(tree.n_nodes));
     queries_ = space.register_buffer("ts_queries", 4, n);
@@ -64,6 +67,10 @@ class TruncSetKernel {
   [[nodiscard]] LArg root_larg() const { return {}; }
   [[nodiscard]] int stack_bound() const { return 16; }
   [[nodiscard]] UArg uarg_at(NodeId) const { return {}; }
+  [[nodiscard]] const StaticRopes& ropes() const { return ropes_; }
+  [[nodiscard]] std::vector<std::int32_t> node_buffers() const {
+    return {nodes0_};
+  }
 
   template <class Mem>
   State init(std::uint32_t pid, Mem& mem, int lane) const {
@@ -101,8 +108,17 @@ class TruncSetKernel {
   const LinearTree* tree_;
   std::size_t n_;
   std::vector<std::set<NodeId>> trunc_;
+  StaticRopes ropes_;
   BufferId nodes0_, queries_;
 };
+
+// The static-ropes walk: a stackless variant with the node cache off.
+GpuMode static_ropes(bool lockstep) {
+  GpuMode m = GpuMode::from(lockstep ? Variant::kStacklessLockstep
+                                     : Variant::kStacklessNolockstep);
+  m.node_cache_bytes = 0;
+  return m;
+}
 
 TEST(RopesResume, TruncatedLaneSkipsExactlyItsSubtree) {
   LinearTree t = depth2_tree();
@@ -112,9 +128,8 @@ TEST(RopesResume, TruncatedLaneSkipsExactlyItsSubtree) {
   std::vector<std::set<NodeId>> trunc{{1}, {}, {0}};
   GpuAddressSpace space;
   TruncSetKernel k(t, 3, trunc, space);
-  StaticRopes ropes = install_ropes(t);
   DeviceConfig cfg;
-  auto g = run_gpu_ropes_sim(k, space, cfg, /*lockstep=*/true, ropes);
+  auto g = run_gpu_sim(k, space, cfg, static_ropes(/*lockstep=*/true));
   EXPECT_EQ(g.results[0], 0b1110011u);  // nodes 0,1,4,5,6
   EXPECT_EQ(g.results[1], 0b1111111u);  // all seven
   EXPECT_EQ(g.results[2], 0b0000001u);  // root only
@@ -125,13 +140,12 @@ TEST(RopesResume, MatchesNonLockstepVisitSets) {
   std::vector<std::set<NodeId>> trunc{{4}, {1, 5}, {2}, {}};
   GpuAddressSpace space;
   TruncSetKernel k(t, 4, trunc, space);
-  StaticRopes ropes = install_ropes(t);
   DeviceConfig cfg;
-  auto l = run_gpu_ropes_sim(k, space, cfg, true, ropes);
-  auto n = run_gpu_ropes_sim(k, space, cfg, false, ropes);
+  auto l = run_gpu_sim(k, space, cfg, static_ropes(true));
+  auto n = run_gpu_sim(k, space, cfg, static_ropes(false));
   EXPECT_EQ(l.results, n.results);
-  // And against the stack-based executor too.
-  auto cpu = run_cpu_ropes(k, ropes);
+  // And against the CPU rope walk too.
+  auto cpu = run_cpu_ropes(k, k.ropes());
   EXPECT_EQ(l.results, cpu);
 }
 
@@ -140,9 +154,8 @@ TEST(RopesResume, WarpVisitsUnionExactlyOnce) {
   std::vector<std::set<NodeId>> trunc{{1}, {4}};
   GpuAddressSpace space;
   TruncSetKernel k(t, 2, trunc, space);
-  StaticRopes ropes = install_ropes(t);
   DeviceConfig cfg;
-  auto g = run_gpu_ropes_sim(k, space, cfg, true, ropes);
+  auto g = run_gpu_sim(k, space, cfg, static_ropes(true));
   // Union of the two lanes' traversals is the whole tree; the warp's
   // cursor passes each node at most once.
   EXPECT_EQ(g.stats.warp_pops, 7u);

@@ -58,7 +58,7 @@ TEST(DecideVariant, UnguidedSortedPicksLockstep) {
   auto d = decide_variant(k, ir::analyze(pc_ir()), false);
   EXPECT_TRUE(d.legal_lockstep);
   EXPECT_TRUE(d.lockstep);
-  EXPECT_TRUE(d.mode().autoropes);
+  EXPECT_EQ(d.mode().variant, Variant::kAutoLockstep);
 }
 
 TEST(DecideVariant, GuidedWithoutAnnotationNeverLockstep) {

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <vector>
 
+#include "bench_algos/knn/knn.h"
 #include "bench_algos/nn/nearest_neighbor.h"
 #include "bench_algos/pc/point_correlation.h"
 #include "core/gpu_executors.h"
@@ -238,6 +239,69 @@ TEST(ServingSession, WarmReplayIsExact) {
   for (std::size_t i = 1; i < 4; ++i)
     EXPECT_EQ(wr.drains[i].cold_launches, 0u) << "drain " << i;
   for (const DrainRecord& d : cr.drains) EXPECT_EQ(d.cold_launches, 1u);
+}
+
+// Replay keys on the whole GpuMode: launches of one handle that differ only
+// in variant, or only in a knob, never replay each other's measurements.
+// Every drain's compute time with replay on must equal the time with
+// replay off, and an ineligible pairing must fail rather than replay an
+// eligible sibling's success.
+TEST(ServingSession, WarmReplayKeysOnTheWholeMode) {
+  ServingFixtures f;
+  std::vector<GpuMode> modes;
+  for (Variant v : {Variant::kRecLockstep, Variant::kStacklessLockstep,
+                    Variant::kRecNolockstep, Variant::kIndexWalk,
+                    Variant::kStacklessNolockstep})
+    modes.push_back(GpuMode::from(v));
+  GpuMode cache_off = GpuMode::from(Variant::kStacklessNolockstep);
+  cache_off.node_cache_bytes = 0;
+  modes.push_back(cache_off);
+  GpuMode narrow_grid = GpuMode::from(Variant::kRecLockstep);
+  narrow_grid.grid_limit = 2;
+  modes.push_back(narrow_grid);
+
+  auto drains = [&](bool reuse) {
+    ServingConfig cfg = relaxed_config();
+    cfg.reuse_identical = reuse;
+    ServingSession session(cfg);
+    QuerySet q = f.pc_query();
+    double arrival = 0;
+    for (const GpuMode& m : modes) {
+      q.spec.mode = m;
+      EXPECT_TRUE(session.submit(q, arrival));
+      arrival += 100.0;
+    }
+    session.flush();
+    return session.report().drains;
+  };
+  const std::vector<DrainRecord> warm = drains(true);
+  const std::vector<DrainRecord> cold = drains(false);
+  ASSERT_EQ(warm.size(), modes.size());
+  ASSERT_EQ(cold.size(), modes.size());
+  for (std::size_t i = 0; i < modes.size(); ++i) {
+    SCOPED_TRACE(variant_name(modes[i].variant));
+    EXPECT_EQ(warm[i].cold_launches, 1u) << "drain " << i;
+    EXPECT_EQ(warm[i].compute_ms, cold[i].compute_ms) << "drain " << i;
+  }
+
+  // kNN is guided, so index_walk is ineligible: it must count as failed,
+  // not replay the rec_nolockstep success submitted before it.
+  PointSet pts = gen_covtype_like(256, 7, 93);
+  KdTree tree = build_kdtree(pts, 8);
+  GpuAddressSpace space;
+  KnnKernel knn(tree, pts, 4, space);
+  ServingSession session(relaxed_config());
+  QuerySet q;
+  q.spec.kernel = make_kernel_handle(knn);
+  q.spec.space = &space;
+  q.spec.mode = GpuMode::from(Variant::kRecNolockstep);
+  ASSERT_TRUE(session.submit(q, 0.0));
+  q.spec.mode = GpuMode::from(Variant::kIndexWalk);
+  ASSERT_TRUE(session.submit(q, 100.0));
+  session.flush();
+  const ServingReport r = session.report();
+  EXPECT_EQ(r.completed, 2u);
+  EXPECT_EQ(r.failed, 1u);
 }
 
 // ---------------------------------------------------------------------

@@ -14,13 +14,21 @@
 #include "core/cpu_executors.h"
 #include "core/gpu_executors.h"
 #include "core/launch.h"
-#include "core/ropes_executor.h"
 #include "data/generators.h"
 #include "spatial/kdtree.h"
 #include "spatial/octree.h"
 
 namespace tt {
 namespace {
+
+// Prior work's static-ropes walk on the simulated GPU: a stackless variant
+// with the shared-memory node cache off.
+GpuMode static_ropes(bool lockstep) {
+  GpuMode m = GpuMode::from(lockstep ? Variant::kStacklessLockstep
+                                     : Variant::kStacklessNolockstep);
+  m.node_cache_bytes = 0;
+  return m;
+}
 
 TEST(StaticRopes, ChainTreeRopes) {
   // Chain a -> b -> c: every rope is end-of-traversal (no siblings).
@@ -94,11 +102,10 @@ TEST(StaticRopes, GpuRopesMatchRecursiveBothVariants) {
   KdTree tree = build_kdtree(pts, 8);
   GpuAddressSpace space;
   PointCorrelationKernel k(tree, pts, 0.3f, space);
-  StaticRopes ropes = install_ropes(tree.topo);
   auto rec = run_cpu(k, CpuVariant::kRecursive, 1);
   DeviceConfig cfg;
-  auto gn = run_gpu_ropes_sim(k, space, cfg, /*lockstep=*/false, ropes);
-  auto gl = run_gpu_ropes_sim(k, space, cfg, /*lockstep=*/true, ropes);
+  auto gn = run_gpu_sim(k, space, cfg, static_ropes(/*lockstep=*/false));
+  auto gl = run_gpu_sim(k, space, cfg, static_ropes(/*lockstep=*/true));
   EXPECT_EQ(gn.results, rec.results);
   EXPECT_EQ(gl.results, rec.results);
 }
@@ -108,10 +115,9 @@ TEST(StaticRopes, BarnesHutRopeTraversalMatches) {
   Octree tree = build_octree(b.pos, b.mass);
   GpuAddressSpace space;
   BarnesHutKernel k(tree, b.pos, 0.5f, 1e-4f, space);
-  StaticRopes ropes = install_ropes(tree.topo);
   auto rec = run_cpu(k, CpuVariant::kRecursive, 1);
   DeviceConfig cfg;
-  auto gn = run_gpu_ropes_sim(k, space, cfg, false, ropes);
+  auto gn = run_gpu_sim(k, space, cfg, static_ropes(false));
   for (std::size_t i = 0; i < b.pos.size(); ++i) {
     EXPECT_NEAR(gn.results[i].ax, rec.results[i].ax,
                 1e-4f * std::max(1.f, std::fabs(rec.results[i].ax)))
@@ -127,9 +133,8 @@ TEST(StaticRopes, LockstepVisitsUnionOnce) {
   GpuAddressSpace space;
   float r = pc_pick_radius(pts, 16, 5);
   PointCorrelationKernel k(tree, pts, r, space);
-  StaticRopes ropes = install_ropes(tree.topo);
   DeviceConfig cfg;
-  auto gl = run_gpu_ropes_sim(k, space, cfg, true, ropes);
+  auto gl = run_gpu_sim(k, space, cfg, static_ropes(true));
   EXPECT_LE(gl.stats.warp_pops,
             gl.n_warps * static_cast<std::size_t>(tree.topo.n_nodes));
 }
@@ -140,10 +145,10 @@ TEST(StaticRopes, NoStackTrafficComparedToAutoropes) {
   GpuAddressSpace space;
   float r = pc_pick_radius(pts, 16, 6);
   PointCorrelationKernel k(tree, pts, r, space);
-  StaticRopes ropes = install_ropes(tree.topo);
   DeviceConfig cfg;
-  auto rope_run = run_gpu_ropes_sim(k, space, cfg, false, ropes);
-  auto auto_run = run_gpu_sim(k, space, cfg, GpuMode{true, false});
+  auto rope_run = run_gpu_sim(k, space, cfg, static_ropes(false));
+  auto auto_run =
+      run_gpu_sim(k, space, cfg, GpuMode::from(Variant::kAutoNolockstep));
   // Same node visits, strictly less memory traffic (no rope stack).
   EXPECT_EQ(rope_run.stats.lane_visits, auto_run.stats.lane_visits);
   EXPECT_LT(rope_run.stats.dram_transactions,

@@ -193,7 +193,7 @@ void check_all_variants(const K& k, GpuAddressSpace& space) {
     // Disabling the node cache zeroes its counters without changing a
     // byte of the results (the cache is a cost model, not a semantics).
     GpuMode off = GpuMode::from(v);
-    off.smem_node_cache = false;
+    off.node_cache_bytes = 0;
     auto g_off = run_gpu_sim(k, space, cfg, off);
     EXPECT_EQ(g_off.stats.smem_cache_hits + g_off.stats.smem_cache_misses, 0u);
     check_memory_attribution(g_off.stats);

@@ -100,8 +100,9 @@ TEST(VariantSet, StacklessSpellingsParseAndErrorListsAllEight) {
                     Variant::kIndexWalk}) {
     EXPECT_TRUE(variant_is_stackless(v));
     EXPECT_FALSE(variant_is_autoropes(v));
-    EXPECT_EQ(GpuMode::from(v).variant(), v);
-    EXPECT_TRUE(GpuMode::from(v).smem_node_cache);
+    EXPECT_EQ(GpuMode::from(v).variant, v);
+    EXPECT_EQ(GpuMode::from(v).node_cache_bytes,
+              GpuMode::kNodeCacheFreedStack);
   }
 }
 
