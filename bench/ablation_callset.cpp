@@ -40,8 +40,8 @@ int main(int argc, char** argv) {
   return benchx::run_main(cli, argc, argv, "ablation_callset", [&]() -> int {
     Table table(
         {"Order", "CallSetPolicy", "Time(ms)", "AvgNodes", "LaneVisits"});
-    const auto n = static_cast<std::size_t>(cli.get_int("points"));
-    const int k_neighbors = static_cast<int>(cli.get_int("k"));
+    const auto n = cli.get_count("points");
+    const int k_neighbors = static_cast<int>(cli.get_count("k"));
     for (bool sorted : {true, false}) {
       PointSet pts = gen_covtype_like(n, 7, 7);
       auto perm = sorted ? tree_order(pts, 8) : shuffled_order(n, 7);

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   return benchx::run_main(cli, argc, argv, "ablation_layout", [&]() -> int {
     Table table({"Order", "Variant", "Stack", "Time(ms)", "DRAM txn",
                  "L2 hits"});
-    const auto n = static_cast<std::size_t>(cli.get_int("points"));
+    const auto n = cli.get_count("points");
     for (bool sorted : {true, false}) {
       PointSet pts = gen_covtype_like(n, 7, 42);
       auto perm = sorted ? tree_order(pts, 8) : shuffled_order(n, 42);

@@ -133,7 +133,7 @@ int main(int argc, char** argv) {
     Table install({"Benchmark", "Order", "Install(ms)"});
     Table sweep({"Benchmark", "Order", "Variant", "Cache(KiB)", "Time(ms)",
                  "DRAM txn", "Hit%", "Stack cyc", "Speedup vs stack"});
-    const auto n = static_cast<std::size_t>(cli.get_int("points"));
+    const auto n = cli.get_count("points");
     for (bool sorted : {true, false}) {
       {
         PointSet pts = gen_covtype_like(n, 7, 21);

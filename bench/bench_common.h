@@ -183,21 +183,19 @@ inline BenchConfig config_from(const Cli& cli, Algo a, InputKind in,
   BenchConfig c;
   c.algo = a;
   c.input = in;
-  c.n = static_cast<std::size_t>(a == Algo::kBH ? cli.get_int("bodies")
-                                                : cli.get_int("points"));
+  // Both sizes are read for every cell so a bad one is rejected before
+  // the first row runs, whichever benchmark comes first.
+  const std::size_t points = cli.get_count("points");
+  const std::size_t bodies = cli.get_count("bodies");
+  c.n = a == Algo::kBH ? bodies : points;
   c.sorted = sorted;
   c.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  c.k = static_cast<int>(cli.get_int("k"));
+  c.k = static_cast<int>(cli.get_count("k"));
   c.pc_target_neighbors = cli.get_double("pc-neighbors");
   c.bh_theta = static_cast<float>(cli.get_double("theta"));
-  c.bh_timesteps = static_cast<int>(cli.get_int("bh-steps"));
+  c.bh_timesteps = static_cast<int>(cli.get_count("bh-steps"));
   c.verify = cli.get_flag("verify");
-  const long long samples = cli.get_int("profile-samples");
-  if (samples <= 0)
-    throw std::invalid_argument(
-        "--profile-samples must be >= 1: the auto_select sampler needs at "
-        "least one traversal pair to decide a dispatch");
-  c.profile_samples = static_cast<std::size_t>(samples);
+  c.profile_samples = cli.get_count("profile-samples");
   c.profile_seed = static_cast<std::uint64_t>(cli.get_int("profile-seed"));
   c.variants = parse_variant_filter(cli.get_string("variant"));
   c.profile = cli.get_flag("profile");

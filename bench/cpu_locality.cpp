@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
     // CPU-only experiment: no GPU variant rows, but still reject a
     // misspelled --variant instead of silently ignoring it.
     benchx::parse_variant_filter(cli.get_string("variant"));
-    const auto n = static_cast<std::size_t>(cli.get_int("points"));
+    const auto n = cli.get_count("points");
     Table table({"Benchmark", "Input", "Order", "L1 hit%", "DRAM%",
                  "Accesses"});
 
@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
       pts.permute(sorted ? tree_order(pts, 8) : shuffled_order(n, 18));
       KdTree tree = build_kdtree(pts, 8);
       GpuAddressSpace space;
-      KnnKernel k(tree, pts, static_cast<int>(cli.get_int("k")), space);
+      KnnKernel k(tree, pts, static_cast<int>(cli.get_count("k")), space);
       CacheStats s = profile_cpu_cache(k, space);
       table.add_row({"kNearestNeighbor", "Mnist",
                      sorted ? "sorted" : "unsorted",

@@ -139,11 +139,9 @@ int main(int argc, char** argv) {
   return benchx::run_main(cli, argc, argv, "fusion", [&]() -> int {
     const std::uint64_t seed =
         static_cast<std::uint64_t>(cli.get_int("seed"));
-    const std::size_t n_points =
-        static_cast<std::size_t>(cli.get_int("points"));
-    const std::size_t n_bodies =
-        static_cast<std::size_t>(cli.get_int("bodies"));
-    const int k = static_cast<int>(cli.get_int("k"));
+    const std::size_t n_points = cli.get_count("points");
+    const std::size_t n_bodies = cli.get_count("bodies");
+    const int k = static_cast<int>(cli.get_count("k"));
     const float theta = static_cast<float>(cli.get_double("theta"));
 
     obs::FusionRunSummary summary;

@@ -167,7 +167,7 @@ int main(int argc, char** argv) {
     // -----------------------------------------------------------------
     Table layout({"Order", "Variant", "Layout", "Node DRAM", "Lane visits",
                   "DRAM/visit"});
-    const auto n = static_cast<std::size_t>(cli.get_int("points"));
+    const auto n = cli.get_count("points");
     for (bool sorted : {true, false}) {
       PointSet pts = gen_covtype_like(n, 7, 42);
       auto perm = sorted ? tree_order(pts, 8) : shuffled_order(n, 42);

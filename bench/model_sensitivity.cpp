@@ -147,7 +147,7 @@ int main(int argc, char** argv) {
                                    Variant::kAutoNolockstep,
                                    Variant::kRecLockstep});
     benchx::ChromeTrace chrome(cli);
-    const auto n = static_cast<std::size_t>(cli.get_int("points"));
+    const auto n = cli.get_count("points");
     Table table({"Perturbation", "Scale", "O1 L<N", "O2 auto<rec",
                  "O3 sorted<unsorted", "O4 ropes<auto"});
     int violations = 0;

@@ -19,10 +19,9 @@ int main(int argc, char** argv) {
   cli.add_int("tris", 8192, "triangles in the procedural scene");
   cli.add_int("rays", 16384, "rays to trace");
   return benchx::run_main(cli, argc, argv, "ray_coherence", [&]() -> int {
-    TriangleMesh mesh = gen_triangle_scene(
-        static_cast<std::size_t>(cli.get_int("tris")), 31);
+    TriangleMesh mesh = gen_triangle_scene(cli.get_count("tris"), 31);
     Bvh bvh = build_bvh(mesh, 4);
-    const auto n_rays = static_cast<std::size_t>(cli.get_int("rays"));
+    const std::size_t n_rays = cli.get_count("rays");
     int side = 1;
     while (static_cast<std::size_t>(side) * side < n_rays) ++side;
 

@@ -18,18 +18,17 @@
 // samples, lift threshold 0.15) it should be zero, and the sweep shows
 // how far samples/threshold can move before that degrades.
 //
-// Kernels come from core's KernelFactory (name-keyed; builders registered
-// by register_bench_kernels) and run through the type-erased batch API,
-// so the sweep has no per-algo construction switch of its own.
+// Every cell is built by the harness's prepare_kernel (the same builder
+// behind run_bench and the batched, served and sharded runs) and runs
+// through the type-erased batch API.
 #include <array>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "bench_algos/register_kernels.h"
 #include "bench_common.h"
 #include "core/batch_scheduler.h"
-#include "core/kernel_factory.h"
 #include "core/profiler.h"
 #include "util/csv.h"
 
@@ -38,7 +37,6 @@ using namespace tt;
 namespace {
 
 struct Cell {
-  std::string name;            // "pc/covtype/morton"
   double mean_similarity = 0;  // per sample count, filled in the sweep
   double baseline_similarity = 0;
   double sampling_cycles = 0;  // auto_select's charge for the samples
@@ -47,19 +45,17 @@ struct Cell {
   double best_cycles = 0;  // instr cycles of the faster composition
 };
 
-PointOrder kOrders[] = {PointOrder::kMorton, PointOrder::kTree,
-                        PointOrder::kShuffled};
-
-const char* factory_name(Algo a) {
-  switch (a) {
-    case Algo::kBH: return "bh";
-    case Algo::kPC: return "pc";
-    case Algo::kKNN: return "knn";
-    case Algo::kNN: return "nn";
-    case Algo::kVP: return "vp";
-  }
-  return "?";
-}
+// The point orders of section 4.4. The harness sorts a <= 3-d input into
+// Morton order and a higher-dimensional one into kd-tree leaf order, so
+// the Morton cells of the tree benchmarks use the uniform 3-d input.
+struct Order {
+  const char* name;
+  bool sorted;
+  bool low_dim;
+};
+constexpr Order kOrders[] = {{"morton", true, true},
+                             {"tree", true, false},
+                             {"shuffled", false, false}};
 
 }  // namespace
 
@@ -70,9 +66,6 @@ int main(int argc, char** argv) {
       "counts, benchmarks x {morton, tree, shuffled} orders");
   benchx::add_common_flags(cli);
   return benchx::run_main(cli, argc, argv, "selection_sweep", [&]() -> int {
-    register_bench_kernels();
-    const std::uint64_t profile_seed =
-        static_cast<std::uint64_t>(cli.get_int("profile-seed"));
     const std::vector<std::size_t> sample_counts{2, 4, 8, 16, 32, 64};
     const std::vector<double> thresholds{0.05, 0.10, 0.15, 0.20, 0.25,
                                          0.30, 0.35, 0.40, 0.45};
@@ -82,56 +75,43 @@ int main(int argc, char** argv) {
     // sample count covers the whole threshold axis.
     std::vector<std::vector<Cell>> by_samples(sample_counts.size());
     for (Algo a : benchx::parse_algos(cli.get_string("benchmarks"))) {
-      for (PointOrder order : kOrders) {
-        if (a == Algo::kBH && order == PointOrder::kTree)
+      for (const Order& order : kOrders) {
+        if (a == Algo::kBH && order.sorted && !order.low_dim)
           continue;  // the harness never tree-orders 3-d bodies
-        KernelRequest req;
-        req.n = static_cast<std::size_t>(a == Algo::kBH ? cli.get_int("bodies")
-                                                        : cli.get_int("points"));
-        req.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-        req.k = static_cast<int>(cli.get_int("k"));
-        req.pc_target_neighbors = cli.get_double("pc-neighbors");
-        req.bh_theta = static_cast<float>(cli.get_double("theta"));
-        req.order = order;
-        std::string input = a == Algo::kBH ? "plummer" : "covtype";
-        if (a != Algo::kBH && order == PointOrder::kMorton) {
-          // Morton order needs <= 3 dimensions; sweep it on the uniform
-          // 3-d variant of each tree benchmark.
-          input = "uniform";
-          req.dim = 3;
-        }
-        req.input = input;
+        const InputKind input = a == Algo::kBH ? InputKind::kPlummer
+                                : order.low_dim ? InputKind::kUniform
+                                                : InputKind::kCovtype;
+        BenchConfig cfg = benchx::config_from(cli, a, input, order.sorted);
+        if (input == InputKind::kUniform) cfg.dim = 3;
 
-        GpuAddressSpace space;
-        auto handle =
-            KernelFactory::instance().make(factory_name(a), req, space);
+        std::unique_ptr<PreparedKernel> pk = prepare_kernel(cfg);
         const DeviceConfig dev;
         // Both autoropes compositions as one batch (isolated per-launch
         // measurements; byte-identical to solo runs by construction).
         std::array<LaunchSpec, 2> specs{
-            LaunchSpec{handle, &space, GpuMode::from(Variant::kAutoLockstep)},
-            LaunchSpec{handle, &space,
+            LaunchSpec{pk->handle, &pk->space,
+                       GpuMode::from(Variant::kAutoLockstep)},
+            LaunchSpec{pk->handle, &pk->space,
                        GpuMode::from(Variant::kAutoNolockstep)}};
         BatchRun run = run_gpu_batch(specs, dev);
         const LaunchResult& lock = run.launches[0];
         const LaunchResult& nolock = run.launches[1];
         const bool best_lockstep = lock.time.total_ms <= nolock.time.total_ms;
         for (std::size_t si = 0; si < sample_counts.size(); ++si) {
-          ProfileReport p = handle->profile(sample_counts[si], profile_seed);
+          ProfileReport p =
+              pk->handle->profile(sample_counts[si], cfg.profile_seed);
           Cell c;
-          c.name = std::string(factory_name(a)) + "/" + input + "/" +
-                   point_order_name(order);
           c.mean_similarity = p.mean_similarity;
           c.baseline_similarity = p.baseline_similarity;
           c.sampling_cycles = sampling_cycles(p.sampled_visits, dev);
-          c.order_is_sorted = order != PointOrder::kShuffled;
+          c.order_is_sorted = order.sorted;
           c.best_is_lockstep = best_lockstep;
           c.best_cycles = best_lockstep ? lock.stats.instr_cycles
                                         : nolock.stats.instr_cycles;
           by_samples[si].push_back(c);
         }
-        std::cerr << "# profiled " << factory_name(a) << "/"
-                  << point_order_name(order) << "\n";
+        std::cerr << "# profiled " << pk->handle->name() << "/" << order.name
+                  << "\n";
       }
     }
 

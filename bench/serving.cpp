@@ -121,9 +121,7 @@ int main(int argc, char** argv) {
 
   return benchx::run_main(cli, argc, argv, "serving", [&]() -> int {
     benchx::ChromeTrace chrome(cli);
-    const auto n_queries = static_cast<std::size_t>(cli.get_int("queries"));
-    if (cli.get_int("queries") <= 0)
-      throw std::invalid_argument("--queries must be >= 1");
+    const std::size_t n_queries = cli.get_count("queries");
     const std::string arrivals = cli.get_string("arrivals");
     if (arrivals != "poisson" && arrivals != "bursty")
       throw std::invalid_argument("--arrivals must be poisson or bursty");
@@ -181,20 +179,12 @@ int main(int argc, char** argv) {
     scfg.device = device;
     scfg.transfer = transfer;
     scfg.policy = batch_policy_from_name(cli.get_string("batch-policy"));
-    const long long max_batch = cli.get_int("drain-max-batch");
-    if (max_batch <= 0)
-      throw std::invalid_argument("--drain-max-batch must be >= 1");
-    scfg.drain.max_batch = static_cast<std::size_t>(max_batch);
+    scfg.drain.max_batch = cli.get_count("drain-max-batch");
     scfg.drain.max_delay_ms = cli.get_double("drain-max-delay-ms");
     if (scfg.drain.max_delay_ms < 0)
       throw std::invalid_argument("--drain-max-delay-ms must be >= 0");
-    const long long capacity = cli.get_int("queue-capacity");
-    if (capacity <= 0)
-      throw std::invalid_argument("--queue-capacity must be >= 1");
-    scfg.queue_capacity = static_cast<std::size_t>(capacity);
-    if (cli.get_int("devices") <= 0)
-      throw std::invalid_argument("--devices must be >= 1");
-    scfg.devices = static_cast<std::size_t>(cli.get_int("devices"));
+    scfg.queue_capacity = cli.get_count("queue-capacity");
+    scfg.devices = cli.get_count("devices");
     if (cli.get_int("shard-chunk") < 0)
       throw std::invalid_argument("--shard-chunk must be >= 0");
     scfg.shard_chunk = static_cast<std::size_t>(cli.get_int("shard-chunk"));

@@ -97,8 +97,6 @@ int main(int argc, char** argv) {
         parse_device_list(cli.get_string("devices"));
     const std::size_t headline_devices =
         *std::max_element(device_counts.begin(), device_counts.end());
-    if (cli.get_int("shard-chunk") <= 0)
-      throw std::invalid_argument("--shard-chunk must be >= 1");
 
     ShardingConfig cfg;
     for (Algo a : benchx::parse_algos(cli.get_string("benchmarks")))
@@ -107,8 +105,7 @@ int main(int argc, char** argv) {
     cfg.variant = variant_from_name(cli.get_string("shard-variant"));
     cfg.policy = batch_policy_from_name(cli.get_string("shard-policy"));
     cfg.devices = headline_devices;
-    cfg.chunk_points =
-        static_cast<std::size_t>(cli.get_int("shard-chunk"));
+    cfg.chunk_points = cli.get_count("shard-chunk");
     cfg.chrome = chrome.collector();
 
     // Headline run at the largest device count (the only traced one).

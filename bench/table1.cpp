@@ -151,11 +151,9 @@ int run_batched(const Cli& cli, obs::RunReport& report,
       ++failed;
     }
 
-  if (cli.get_int("devices") < 1)
-    throw std::invalid_argument("--devices must be >= 1");
-  if (cli.get_int("shard-chunk") < 1)
-    throw std::invalid_argument("--shard-chunk must be >= 1");
-  if (cli.get_int("devices") > 1) {
+  const std::size_t devices = cli.get_count("devices");
+  const std::size_t shard_chunk = cli.get_count("shard-chunk");
+  if (devices > 1) {
     // Re-run the same items sharded across the device group; the merged
     // results are byte-identical to the batch by the sharding contract,
     // so this only adds the multi-device makespan accounting.
@@ -163,8 +161,8 @@ int run_batched(const Cli& cli, obs::RunReport& report,
     sc.items = bc.items;
     sc.variant = bc.variant;
     sc.policy = bc.policy;
-    sc.devices = static_cast<std::size_t>(cli.get_int("devices"));
-    sc.chunk_points = static_cast<std::size_t>(cli.get_int("shard-chunk"));
+    sc.devices = devices;
+    sc.chunk_points = shard_chunk;
     sc.grid_limit = bc.grid_limit;
     ShardingRunSummary sharded = run_sharding(sc);
     for (const ShardingKernelReport& k : sharded.kernels)

@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <stdexcept>
+#include <type_traits>
 
 #include "bench_algos/bh/barnes_hut.h"
 #include "bench_algos/knn/knn.h"
@@ -278,8 +280,8 @@ void apply_order(PointSet& pts, const BenchConfig& cfg) {
   }
 }
 
-// Generate + order the Barnes-Hut body set (shared by the solo and
-// batched paths so both traverse the identical input).
+// Generate + order the Barnes-Hut body set; masses and velocities follow
+// the position permutation.
 BodySet make_bh_input(const BenchConfig& cfg) {
   if (cfg.input != InputKind::kPlummer && cfg.input != InputKind::kRandomBodies)
     throw std::invalid_argument("run_bench: BH needs a body input");
@@ -310,159 +312,127 @@ bool nearly_equal(float a, float b, float tol) {
   return std::fabs(a - b) <= tol * scale;
 }
 
+// A kernel together with the input and tree it points into. It lives on
+// the heap and is never moved, so the kernel's pointers stay valid; the
+// type-erased path parks the whole bundle behind the handle's keep-alive.
+template <class Input, class Tree, class K>
+struct KernelBundle {
+  Input input;
+  Tree tree;
+  std::optional<K> kernel;
+};
+
+using BhBundle = KernelBundle<BodySet, Octree, BarnesHutKernel>;
+
+// One Barnes-Hut timestep's setup: (re)build the octree over the current
+// body positions and the kernel over it, registering its buffers in
+// `space`. The builder runs it for the first step, run_bench for each
+// later one.
+void build_bh_step(BhBundle& b, const BenchConfig& cfg,
+                   GpuAddressSpace& space) {
+  b.kernel.reset();
+  b.tree = build_octree(b.input.pos, b.input.mass);
+  b.kernel.emplace(b.tree, b.input.pos, cfg.bh_theta, cfg.bh_eps2, space);
+}
+
+template <class Tree, class K>
+std::shared_ptr<KernelBundle<PointSet, Tree, K>> point_bundle(
+    const BenchConfig& cfg) {
+  auto b = std::make_shared<KernelBundle<PointSet, Tree, K>>();
+  b->input = make_tree_input(cfg);
+  apply_order(b->input, cfg);
+  return b;
+}
+
+// The one place a BenchConfig becomes input data, a tree and a kernel
+// (generate -> order -> build tree -> construct the kernel into `space`).
+// Returns use(bundle, equal): the built KernelBundle and the check
+// run_bench verifies two of the kernel's Result values with.
+template <class Use>
+auto build_kernel(const BenchConfig& cfg, GpuAddressSpace& space, Use&& use) {
+  switch (cfg.algo) {
+    case Algo::kBH: {
+      auto b = std::make_shared<BhBundle>();
+      b->input = make_bh_input(cfg);
+      build_bh_step(*b, cfg, space);
+      return use(b, [](const BhForce& x, const BhForce& y) {
+        return nearly_equal(x.ax, y.ax, 1e-4f) &&
+               nearly_equal(x.ay, y.ay, 1e-4f) &&
+               nearly_equal(x.az, y.az, 1e-4f);
+      });
+    }
+    case Algo::kPC: {
+      auto b = point_bundle<KdTree, PointCorrelationKernel>(cfg);
+      b->tree = build_kdtree(b->input, cfg.leaf_size);
+      const float r =
+          pc_pick_radius(b->input, cfg.pc_target_neighbors, cfg.seed);
+      b->kernel.emplace(b->tree, b->input, r, space);
+      return use(b, [](std::uint32_t x, std::uint32_t y) { return x == y; });
+    }
+    case Algo::kKNN: {
+      auto b = point_bundle<KdTree, KnnKernel>(cfg);
+      b->tree = build_kdtree(b->input, cfg.leaf_size);
+      b->kernel.emplace(b->tree, b->input, cfg.k, space);
+      return use(b, [](const KnnResult& x, const KnnResult& y) {
+        return nearly_equal(x.kth_d2, y.kth_d2, 1e-4f) &&
+               nearly_equal(x.sum_d2, y.sum_d2, 1e-3f);
+      });
+    }
+    case Algo::kNN: {
+      auto b = point_bundle<KdTreeNN, NnKernel>(cfg);
+      b->tree = build_kdtree_nn(b->input);
+      b->kernel.emplace(b->tree, b->input, space);
+      return use(b, [](const NnResult& x, const NnResult& y) {
+        return nearly_equal(x.best_d2, y.best_d2, 1e-4f);
+      });
+    }
+    case Algo::kVP: {
+      auto b = point_bundle<VpTree, VpKernel>(cfg);
+      b->tree = build_vptree(b->input, cfg.seed ^ 0x7b1fa2);
+      b->kernel.emplace(b->tree, b->input, space);
+      return use(b, [](const VpResult& x, const VpResult& y) {
+        return nearly_equal(x.best_d, y.best_d, 1e-4f);
+      });
+    }
+  }
+  throw std::logic_error("build_kernel: bad algo");
+}
+
 }  // namespace
 
 BenchRow run_bench(const BenchConfig& cfg) {
   BenchRow row;
-  row.config = cfg;
   GpuAddressSpace space;
-
-  switch (cfg.algo) {
-    case Algo::kBH: {
-      BodySet bodies = make_bh_input(cfg);
+  build_kernel(cfg, space, [&](const auto& b, const auto& equal) {
+    run_all(row, cfg, *b->kernel, space, equal);
+    if constexpr (std::is_same_v<std::decay_t<decltype(*b)>, BhBundle>) {
       // The paper integrates several timesteps, rebuilding the octree each
-      // step; traversal metrics accumulate across steps.
-      int steps = std::max(1, cfg.bh_timesteps);
-      for (int step = 0; step < steps; ++step) {
+      // step; traversal metrics accumulate across steps. Each step
+      // advances with the verified CPU result (identical across variants)
+      // and is its own launch over a fresh address space.
+      for (int step = 1; step < cfg.bh_timesteps; ++step) {
+        auto cpu = run_cpu(*b->kernel, CpuVariant::kAutoropes, 2);
+        bh_integrate(b->input.pos, b->input.vel, cpu.results, cfg.bh_dt);
         GpuAddressSpace step_space;
-        Octree tree = build_octree(bodies.pos, bodies.mass);
-        BarnesHutKernel k(tree, bodies.pos, cfg.bh_theta, cfg.bh_eps2,
-                          step == 0 ? space : step_space);
+        build_bh_step(*b, cfg, step_space);
         BenchRow step_row;
-        step_row.config = cfg;
-        run_all(step_row, cfg, k, step == 0 ? space : step_space,
-                [](const BhForce& a, const BhForce& b) {
-                  return nearly_equal(a.ax, b.ax, 1e-4f) &&
-                         nearly_equal(a.ay, b.ay, 1e-4f) &&
-                         nearly_equal(a.az, b.az, 1e-4f);
-                });
-        if (step == 0) {
-          row = step_row;
-          row.config = cfg;
-        } else {
-          accumulate(row, step_row, step + 1);
-        }
-        if (step + 1 < steps) {
-          // Advance with the verified CPU result (identical across
-          // variants) so later steps traverse an evolved tree.
-          auto cpu = run_cpu(k, CpuVariant::kAutoropes, 2);
-          bh_integrate(bodies.pos, bodies.vel, cpu.results, cfg.bh_dt);
-        }
+        run_all(step_row, cfg, *b->kernel, step_space, equal);
+        accumulate(row, step_row, step + 1);
       }
-      break;
     }
-    case Algo::kPC: {
-      PointSet pts = make_tree_input(cfg);
-      apply_order(pts, cfg);
-      KdTree tree = build_kdtree(pts, cfg.leaf_size);
-      float r = pc_pick_radius(pts, cfg.pc_target_neighbors, cfg.seed);
-      PointCorrelationKernel k(tree, pts, r, space);
-      run_all(row, cfg, k, space,
-              [](std::uint32_t a, std::uint32_t b) { return a == b; });
-      break;
-    }
-    case Algo::kKNN: {
-      PointSet pts = make_tree_input(cfg);
-      apply_order(pts, cfg);
-      KdTree tree = build_kdtree(pts, cfg.leaf_size);
-      KnnKernel k(tree, pts, cfg.k, space);
-      run_all(row, cfg, k, space, [](const KnnResult& a, const KnnResult& b) {
-        return nearly_equal(a.kth_d2, b.kth_d2, 1e-4f) &&
-               nearly_equal(a.sum_d2, b.sum_d2, 1e-3f);
-      });
-      break;
-    }
-    case Algo::kNN: {
-      PointSet pts = make_tree_input(cfg);
-      apply_order(pts, cfg);
-      KdTreeNN tree = build_kdtree_nn(pts);
-      NnKernel k(tree, pts, space);
-      run_all(row, cfg, k, space, [](const NnResult& a, const NnResult& b) {
-        return nearly_equal(a.best_d2, b.best_d2, 1e-4f);
-      });
-      break;
-    }
-    case Algo::kVP: {
-      PointSet pts = make_tree_input(cfg);
-      apply_order(pts, cfg);
-      VpTree tree = build_vptree(pts, cfg.seed ^ 0x7b1fa2);
-      VpKernel k(tree, pts, space);
-      run_all(row, cfg, k, space, [](const VpResult& a, const VpResult& b) {
-        return nearly_equal(a.best_d, b.best_d, 1e-4f);
-      });
-      break;
-    }
-  }
+  });
+  row.config = cfg;
   return row;
 }
 
-namespace {
-
-// Build `k` (referencing data held in `owners`) and wrap it in a handle
-// that keeps all of it alive.
-template <class K>
-std::shared_ptr<KernelHandle> owning_handle(
-    std::shared_ptr<K> k, std::vector<std::shared_ptr<void>> owners) {
-  owners.push_back(k);
-  auto keep = std::make_shared<std::vector<std::shared_ptr<void>>>(
-      std::move(owners));
-  return make_kernel_handle(*k, std::move(keep));
-}
-
-}  // namespace
-
-// Construct one item's kernel exactly the way run_bench does for its solo
-// row (same generators, ordering, tree builders, radius picking), so the
-// batched or served launch traverses the identical input in an
-// identically laid-out address space.
+// The batched, served and sharded launches traverse the identical input
+// in an identically laid-out address space as the solo row: both come
+// from build_kernel.
 std::unique_ptr<PreparedKernel> prepare_kernel(const BenchConfig& cfg) {
   auto out = std::make_unique<PreparedKernel>();
-  switch (cfg.algo) {
-    case Algo::kBH: {
-      auto bodies = std::make_shared<BodySet>(make_bh_input(cfg));
-      auto tree =
-          std::make_shared<Octree>(build_octree(bodies->pos, bodies->mass));
-      auto k = std::make_shared<BarnesHutKernel>(
-          *tree, bodies->pos, cfg.bh_theta, cfg.bh_eps2, out->space);
-      out->handle = owning_handle(k, {bodies, tree});
-      break;
-    }
-    case Algo::kPC: {
-      auto pts = std::make_shared<PointSet>(make_tree_input(cfg));
-      apply_order(*pts, cfg);
-      auto tree = std::make_shared<KdTree>(build_kdtree(*pts, cfg.leaf_size));
-      float r = pc_pick_radius(*pts, cfg.pc_target_neighbors, cfg.seed);
-      auto k = std::make_shared<PointCorrelationKernel>(*tree, *pts, r,
-                                                        out->space);
-      out->handle = owning_handle(k, {pts, tree});
-      break;
-    }
-    case Algo::kKNN: {
-      auto pts = std::make_shared<PointSet>(make_tree_input(cfg));
-      apply_order(*pts, cfg);
-      auto tree = std::make_shared<KdTree>(build_kdtree(*pts, cfg.leaf_size));
-      auto k = std::make_shared<KnnKernel>(*tree, *pts, cfg.k, out->space);
-      out->handle = owning_handle(k, {pts, tree});
-      break;
-    }
-    case Algo::kNN: {
-      auto pts = std::make_shared<PointSet>(make_tree_input(cfg));
-      apply_order(*pts, cfg);
-      auto tree = std::make_shared<KdTreeNN>(build_kdtree_nn(*pts));
-      auto k = std::make_shared<NnKernel>(*tree, *pts, out->space);
-      out->handle = owning_handle(k, {pts, tree});
-      break;
-    }
-    case Algo::kVP: {
-      auto pts = std::make_shared<PointSet>(make_tree_input(cfg));
-      apply_order(*pts, cfg);
-      auto tree =
-          std::make_shared<VpTree>(build_vptree(*pts, cfg.seed ^ 0x7b1fa2));
-      auto k = std::make_shared<VpKernel>(*tree, *pts, out->space);
-      out->handle = owning_handle(k, {pts, tree});
-      break;
-    }
-  }
+  out->handle = build_kernel(cfg, out->space, [](const auto& b, const auto&) {
+    return make_kernel_handle(*b->kernel, b);
+  });
   // Copy-in/copy-out accounting, as in run_all: everything registered so
   // far (tree + points) crosses the bus; the stack arena the batched
   // executor adds later is device-internal.

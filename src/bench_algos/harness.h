@@ -180,10 +180,10 @@ BenchRow run_bench(const BenchConfig& config);
 
 // One prepared benchmark kernel, fully owned: the launch's address space
 // plus a handle whose keep-alive parks the generated input, tree and
-// kernel object so everything outlives the run. Built exactly the way
-// run_bench builds the item's solo row (same generators, ordering, tree
-// builders, radius picking). This is the unit bench/serving submits as a
-// core QuerySet, and what run_batch builds per item.
+// kernel object so everything outlives the run. Built by the same
+// builder as run_bench's solo row, so it traverses the identical input in
+// an identically laid-out address space. This is the unit bench/serving
+// submits as a core QuerySet, and what run_batch builds per item.
 struct PreparedKernel {
   GpuAddressSpace space;
   std::shared_ptr<KernelHandle> handle;

@@ -3,6 +3,7 @@
 #include <charconv>
 #include <iostream>
 #include <stdexcept>
+#include <string>
 
 namespace tt {
 
@@ -149,6 +150,13 @@ bool Cli::get_flag(const std::string& name) const {
 }
 std::int64_t Cli::get_int(const std::string& name) const {
   return find(name, Kind::kInt).int_value;
+}
+std::size_t Cli::get_count(const std::string& name) const {
+  const std::int64_t v = get_int(name);
+  if (v < 1)
+    throw std::invalid_argument("--" + name + " must be >= 1 (got " +
+                                std::to_string(v) + ")");
+  return static_cast<std::size_t>(v);
 }
 double Cli::get_double(const std::string& name) const {
   return find(name, Kind::kDouble).double_value;

@@ -5,6 +5,7 @@
 // default experiment.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
@@ -32,6 +33,10 @@ class Cli {
 
   [[nodiscard]] bool get_flag(const std::string& name) const;
   [[nodiscard]] std::int64_t get_int(const std::string& name) const;
+  // An integer flag that counts something (points, k, devices, ...).
+  // Throws std::invalid_argument "--<name> must be >= 1 (got <v>)" for
+  // values below 1, so a negative value never wraps into a huge size.
+  [[nodiscard]] std::size_t get_count(const std::string& name) const;
   [[nodiscard]] double get_double(const std::string& name) const;
   [[nodiscard]] const std::string& get_string(const std::string& name) const;
 

@@ -129,6 +129,33 @@ TEST(Harness, CpuSweepMonotone) {
   EXPECT_NEAR(sweep[0].cpu_ms, row.cpu_t1_ms, 1e-9);
 }
 
+// The solo row (run_bench) and a one-item batch (run_batch, which builds
+// through prepare_kernel) must construct the same kernel over the same
+// input and address space, so the auto_select launch measures the same.
+TEST(Harness, BatchedItemMatchesSoloRow) {
+  for (Algo a : {Algo::kBH, Algo::kPC, Algo::kKNN, Algo::kNN, Algo::kVP}) {
+    for (bool sorted : {true, false}) {
+      SCOPED_TRACE(algo_name(a) + (sorted ? " sorted" : " unsorted"));
+      BenchConfig c = small_config(a, inputs_for(a).front(), sorted);
+      c.bh_timesteps = 1;
+      const VariantResult solo =
+          run_bench(c).result(Variant::kAutoSelect);
+      BatchConfig bc;
+      bc.items = {c};
+      bc.variant = Variant::kAutoSelect;
+      const BatchResult batch = run_batch(bc);
+      ASSERT_EQ(batch.kernels.size(), 1u);
+      const VariantResult& item = batch.kernels.front().result;
+      ASSERT_TRUE(solo.ok()) << solo.error;
+      ASSERT_TRUE(item.ok()) << item.error;
+      EXPECT_EQ(item.stats.instr_cycles, solo.stats.instr_cycles);
+      EXPECT_EQ(item.stats.lane_visits, solo.stats.lane_visits);
+      EXPECT_EQ(item.stats.dram_transactions, solo.stats.dram_transactions);
+      EXPECT_EQ(item.time_ms, solo.time_ms);
+    }
+  }
+}
+
 TEST(Harness, SortedImprovesLockstepExpansion) {
   BenchRow s = run_bench(small_config(Algo::kPC, InputKind::kCovtype, true));
   BenchRow u = run_bench(small_config(Algo::kPC, InputKind::kCovtype, false));

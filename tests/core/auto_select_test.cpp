@@ -3,61 +3,61 @@
 // sorted inputs (Morton and kd-tree leaf order) and to non-lockstep on
 // shuffled inputs, reproduce the chosen composition's results
 // byte-for-byte, and report total cycles = chosen-variant cycles +
-// sampling cycles. Kernels come from core's KernelFactory and run through
-// the type-erased batch API (one-launch batches are byte-identical to
-// solo runs by the batching contract), which is also what pins the
-// factory registry's name-keyed construction end to end.
+// sampling cycles. Kernels are built by the harness's prepare_kernel and
+// run through the type-erased batch API (one-launch batches are
+// byte-identical to solo runs by the batching contract).
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <span>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
-#include "bench_algos/register_kernels.h"
+#include "bench_algos/harness.h"
 #include "core/batch_scheduler.h"
-#include "core/kernel_factory.h"
 #include "core/profiler.h"
 #include "obs/trace.h"
 
 namespace tt {
 namespace {
 
-const char* kFactoryNames[] = {"bh", "pc", "knn", "nn", "vp"};
+const char* kBenchNames[] = {"bh", "pc", "knn", "nn", "vp"};
 
-KernelRequest request_for() {
-  register_bench_kernels();
-  KernelRequest req;
-  req.n = 2048;
-  req.seed = 42;
-  // The canonical Table-1 inputs: plummer for bh (builder default),
-  // covtype for the tree benchmarks (builder default).
-  return req;
+Algo algo_of(const std::string& name) {
+  if (name == "bh") return Algo::kBH;
+  if (name == "pc") return Algo::kPC;
+  if (name == "knn") return Algo::kKNN;
+  if (name == "nn") return Algo::kNN;
+  if (name == "vp") return Algo::kVP;
+  throw std::invalid_argument("unknown benchmark: " + name);
+}
+
+// The canonical Table-1 input of `name` (plummer for bh, covtype for the
+// tree benchmarks) at 2048 points.
+BenchConfig config_for(const std::string& name, bool sorted) {
+  BenchConfig c;
+  c.algo = algo_of(name);
+  c.input = inputs_for(c.algo).front();
+  c.n = 2048;
+  c.seed = 42;
+  c.sorted = sorted;
+  return c;
 }
 
 // Sorted-input cases the selection must classify as lockstep-worthy:
 // Morton order applies to <= 3 dimensions (BH bodies; a 3-d uniform input
 // for the tree benchmarks), kd-tree leaf order to the 7-dim Table-1
 // inputs. Both spatial sorts must make adjacent traversals similar.
-std::vector<KernelRequest> sorted_requests(const std::string& name) {
-  const KernelRequest base = request_for();
-  if (name == std::string("bh")) {
-    KernelRequest r = base;
-    r.order = PointOrder::kMorton;
-    return {r};
-  }
-  KernelRequest low_dim = base;
-  low_dim.input = "uniform";
+std::vector<std::pair<const char*, BenchConfig>> sorted_configs(
+    const std::string& name) {
+  const BenchConfig base = config_for(name, /*sorted=*/true);
+  if (name == "bh") return {{"morton", base}};
+  BenchConfig low_dim = base;
+  low_dim.input = InputKind::kUniform;
   low_dim.dim = 3;
-  low_dim.order = PointOrder::kMorton;
-  KernelRequest tree = base;
-  tree.order = PointOrder::kTree;
-  return {low_dim, tree};
-}
-
-KernelRequest shuffled_request() {
-  KernelRequest req = request_for();
-  req.order = PointOrder::kShuffled;
-  return req;
+  return {{"morton", low_dim}, {"tree", base}};
 }
 
 // One-launch batch under variant `v`; the LaunchResult carries the same
@@ -120,31 +120,25 @@ class AutoSelectAcceptance
     : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(AutoSelectAcceptance, SortedOrdersPickLockstep) {
-  for (const KernelRequest& req : sorted_requests(GetParam())) {
-    SCOPED_TRACE(point_order_name(req.order));
-    GpuAddressSpace space;
-    auto handle = KernelFactory::instance().make(GetParam(), req, space);
-    expect_selects(handle, space, true);
+  for (const auto& [order, cfg] : sorted_configs(GetParam())) {
+    SCOPED_TRACE(order);
+    auto pk = prepare_kernel(cfg);
+    expect_selects(pk->handle, pk->space, true);
   }
 }
 
 TEST_P(AutoSelectAcceptance, ShuffledOrderPicksNonLockstep) {
-  GpuAddressSpace space;
-  auto handle = KernelFactory::instance().make(
-      GetParam(), shuffled_request(), space);
-  expect_selects(handle, space, false);
+  auto pk = prepare_kernel(config_for(GetParam(), /*sorted=*/false));
+  expect_selects(pk->handle, pk->space, false);
 }
 
 TEST(AutoSelect, ZeroSamplesRejected) {
-  KernelRequest req = request_for();
-  req.order = PointOrder::kTree;
-  GpuAddressSpace space;
-  auto handle = KernelFactory::instance().make("pc", req, space);
+  auto pk = prepare_kernel(config_for("pc", /*sorted=*/true));
   GpuMode mode = GpuMode::from(Variant::kAutoSelect);
   mode.profile_samples = 0;
   LaunchSpec spec;
-  spec.kernel = handle;
-  spec.space = &space;
+  spec.kernel = pk->handle;
+  spec.space = &pk->space;
   spec.mode = mode;
   EXPECT_THROW(run_gpu_batch(std::span<const LaunchSpec>(&spec, 1),
                              DeviceConfig{}),
@@ -152,13 +146,12 @@ TEST(AutoSelect, ZeroSamplesRejected) {
 }
 
 TEST(AutoSelect, DeterministicAcrossRuns) {
-  const KernelRequest req = shuffled_request();
-  GpuAddressSpace space1, space2;
-  auto h1 = KernelFactory::instance().make("nn", req, space1);
-  auto h2 = KernelFactory::instance().make("nn", req, space2);
+  const BenchConfig cfg = config_for("nn", /*sorted=*/false);
+  auto pk1 = prepare_kernel(cfg);
+  auto pk2 = prepare_kernel(cfg);
   const GpuMode mode = GpuMode::from(Variant::kAutoSelect);
-  LaunchResult first = run_one(h1, space1, mode);
-  LaunchResult again = run_one(h2, space2, mode);
+  LaunchResult first = run_one(pk1->handle, pk1->space, mode);
+  LaunchResult again = run_one(pk2->handle, pk2->space, mode);
   ASSERT_TRUE(first.selection.has_value());
   ASSERT_TRUE(again.selection.has_value());
   EXPECT_EQ(again.selection->chosen, first.selection->chosen);
@@ -168,41 +161,8 @@ TEST(AutoSelect, DeterministicAcrossRuns) {
                    first.selection->sampling_cycles);
 }
 
-// The registry's unknown-name error lists the valid spellings, matching
-// the variant_from_name convention.
-TEST(KernelFactoryRegistry, UnknownNameListsValidSpellings) {
-  register_bench_kernels();
-  GpuAddressSpace space;
-  try {
-    (void)KernelFactory::instance().make("no_such_kernel", KernelRequest{},
-                                         space);
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("kernel_factory: unknown kernel 'no_such_kernel'"),
-              std::string::npos)
-        << what;
-    EXPECT_NE(what.find("valid:"), std::string::npos) << what;
-    for (const char* name :
-         {"bh", "pc", "knn", "nn", "vp", "rope_knn", "rope_nn",
-          "fused_knn_nn", "fused_bh_step"})
-      EXPECT_NE(what.find(name), std::string::npos)
-          << what << " missing " << name;
-  }
-}
-
-TEST(KernelFactoryRegistry, NamesAreSortedAndComplete) {
-  register_bench_kernels();
-  const std::vector<std::string> names = KernelFactory::instance().names();
-  EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
-  for (const char* name :
-       {"bh", "pc", "knn", "nn", "vp", "rope_knn", "rope_nn", "fused_knn_nn",
-        "fused_bh_step"})
-    EXPECT_TRUE(KernelFactory::instance().contains(name)) << name;
-}
-
 INSTANTIATE_TEST_SUITE_P(AllBenchmarks, AutoSelectAcceptance,
-                         ::testing::ValuesIn(kFactoryNames),
+                         ::testing::ValuesIn(kBenchNames),
                          [](const ::testing::TestParamInfo<const char*>& info) {
                            return std::string(info.param);
                          });

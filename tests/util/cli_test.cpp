@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace tt {
 namespace {
 
@@ -78,6 +81,27 @@ TEST(Cli, BadIntThrows) {
   Cli cli = make_cli();
   const char* argv[] = {"prog", "--points=abc"};
   EXPECT_THROW(cli.parse(2, argv), std::invalid_argument);
+}
+
+TEST(Cli, CountRejectsValuesBelowOne) {
+  for (const char* arg : {"--points=-5", "--points=0"}) {
+    Cli cli = make_cli();
+    const char* argv[] = {"prog", arg};
+    ASSERT_TRUE(cli.parse(2, argv));
+    try {
+      (void)cli.get_count("points");
+      FAIL() << "expected std::invalid_argument for " << arg;
+    } catch (const std::invalid_argument& e) {
+      const std::string want = std::string("--points must be >= 1 (got ") +
+                               (arg + 9) + ")";
+      EXPECT_EQ(e.what(), want);
+    }
+  }
+  Cli cli = make_cli();
+  const char* argv[] = {"prog", "--points=3"};
+  ASSERT_TRUE(cli.parse(2, argv));
+  EXPECT_EQ(cli.get_count("points"), 3u);
+  EXPECT_THROW((void)cli.get_count("theta"), std::logic_error);
 }
 
 TEST(Cli, MissingValueThrows) {

@@ -11,16 +11,15 @@
 // kernel's totals, whose overlap can never exceed the copy-in it hides,
 // and whose makespan must be the slowest device's busy time, bounded by
 // the summed per-device time).
-// Validation is version-aware: the current schema (v9) and the two
-// previous ones (v8, v7) are accepted in full validation -- plus v6,
-// which the committed sharding fixture pins and must keep validating
-// bit-for-bit -- with the v7-only stackless variant blocks required only
-// from v7 on, the v8 "fusion" block (bench/fusion: fused traversal
-// kernels vs their sequential baselines) checked for shape plus its
-// defining invariants (every ok row must be byte_identical, the fused
+// Validation is version-aware: the current schema (v9) is accepted, plus
+// v6, which the committed sharding fixture pins and must keep validating
+// bit-for-bit; the stackless variant blocks (added in v7) are required of
+// v9 reports only. Also checked: the optional "fusion" block (bench/fusion:
+// fused traversal kernels vs their sequential baselines) for shape plus
+// its defining invariants (every ok row must be byte_identical, the fused
 // walk's visit count can never exceed the constituents' sum, re-derived
 // here from the two stats blocks, and the reported visit cycle savings
-// must be non-negative), and the v9 per-buffer "memory" attribution block
+// must be non-negative), and the per-buffer "memory" attribution block
 // re-derived against the holder's own stats: across rows, the L2-hit /
 // DRAM / smem-cache / load-group sums must reconstruct the aggregate
 // KernelStats counters with EXACT equality (every accumulated value is a
@@ -28,9 +27,9 @@
 // must split exactly into its smem-hit/L2/DRAM outcomes with coalescing
 // efficiency in (0, 1], per-field rows must sum to their buffer's row,
 // and (when profiled) the summed mem-stall cycles must equal the
-// mem_stall cycle bucket.
-// For v7 reports, an ok stackless variant must show zero stack footprint
-// (peak_stack_entries == 0 and, when profiled, an empty stack bucket).
+// mem_stall cycle bucket. An ok stackless variant must show zero stack
+// footprint (peak_stack_entries == 0 and, when profiled, an empty stack
+// bucket).
 // Exit 0 on success; nonzero with a diagnostic on stderr otherwise. Used
 // by the table1_json_validate ctest and scripts/check.sh.
 //
@@ -884,19 +883,14 @@ int main(int argc, char** argv) {
     if (!root->is_object()) return fail("root is not an object");
     const JsonValue* schema = root->find("schema");
     if (!schema) return fail("missing \"schema\"");
-    // v8 (pre-memory) and v7 (pre-fusion) reports stay fully validatable,
-    // as does v6 (pre-stackless): the committed sharding fixture is a v6
-    // one and must keep passing.
-    constexpr const char* kV8Schema = "treetrav.run_report/v8";
-    constexpr const char* kV7Schema = "treetrav.run_report/v7";
+    // v6 (pre-stackless) stays fully validatable: the committed sharding
+    // fixture is a v6 report and must keep passing.
     constexpr const char* kV6Schema = "treetrav.run_report/v6";
-    const bool is_v7_plus = schema->as_string() == tt::obs::kRunReportSchema ||
-                            schema->as_string() == kV8Schema ||
-                            schema->as_string() == kV7Schema;
-    if (!is_v7_plus && schema->as_string() != kV6Schema)
+    const bool is_current = schema->as_string() == tt::obs::kRunReportSchema;
+    if (!is_current && schema->as_string() != kV6Schema)
       return fail("schema is \"" + schema->as_string() + "\", expected \"" +
-                  tt::obs::kRunReportSchema + "\" (or \"" + kV8Schema +
-                  "\" / \"" + kV7Schema + "\" / \"" + kV6Schema + "\")");
+                  tt::obs::kRunReportSchema + "\" (or \"" + kV6Schema +
+                  "\")");
     if (!root->find("generator")) return fail("missing \"generator\"");
     if (!root->find("git_sha")) return fail("missing \"git_sha\"");
     const JsonValue* rows = root->find("rows");
@@ -913,8 +907,8 @@ int main(int argc, char** argv) {
       if (!variants || !variants->is_object())
         return fail(at + ": missing \"variants\" object");
       for (tt::Variant v : tt::kAllVariants) {
-        // The stackless family only exists from v7 on.
-        if (!is_v7_plus && tt::variant_is_stackless(v)) continue;
+        // The stackless family does not exist in v6 reports.
+        if (!is_current && tt::variant_is_stackless(v)) continue;
         const JsonValue* vr = variants->find(tt::variant_name(v));
         if (!vr) return fail(at + ": missing variant " + tt::variant_name(v));
         if (!vr->find("stats"))
